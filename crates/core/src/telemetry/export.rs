@@ -6,7 +6,9 @@
 //! `ui.perfetto.dev` and `chrome://tracing` load directly, and the text
 //! exposition follows the Prometheus 0.0.4 format.
 
-use crate::telemetry::metrics::{HistogramSnapshot, SiteMetrics, HISTOGRAM_BUCKETS};
+use crate::telemetry::metrics::{
+    HistogramSnapshot, MetricKind, Sample, SiteMetrics, HISTOGRAM_BUCKETS, SCALAR_FAMILIES,
+};
 use crate::trace::{BusEvent, TraceEvent};
 use sdvm_types::{GlobalAddress, SiteId};
 use std::collections::HashMap;
@@ -275,390 +277,82 @@ pub fn perfetto_trace_json(events: &[BusEvent]) -> String {
     out
 }
 
-fn write_counter(out: &mut String, name: &str, help: &str, values: &[(SiteId, u64)]) {
+/// Write a family's `# HELP` and `# TYPE` lines.
+pub(crate) fn write_header(out: &mut String, name: &str, kind: MetricKind, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (site, v) in values {
-        let _ = writeln!(out, "{name}{{site=\"{}\"}} {v}", site.0);
-    }
+    let _ = writeln!(out, "# TYPE {name} {}", kind.as_str());
 }
 
-fn write_gauge(out: &mut String, name: &str, help: &str, values: &[(SiteId, u64)]) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (site, v) in values {
-        let _ = writeln!(out, "{name}{{site=\"{}\"}} {v}", site.0);
-    }
-}
-
-fn write_histogram(
+/// Write one histogram series: cumulative `_bucket` rows over the log2
+/// `le` bounds ([`HistogramSnapshot::le_label`]), then `_sum` and
+/// `_count`. `labels` is the label list without braces, empty for an
+/// unlabelled series.
+pub(crate) fn write_histogram_series(
     out: &mut String,
     name: &str,
-    help: &str,
-    series: &[(String, &HistogramSnapshot)],
+    labels: &str,
+    h: &HistogramSnapshot,
 ) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, h) in series {
-        let mut cumulative = 0u64;
-        for i in 0..HISTOGRAM_BUCKETS {
-            cumulative += h.buckets.get(i).copied().unwrap_or(0);
-            let le = HistogramSnapshot::le_label(i);
-            let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
-        }
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum_us);
-        let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count);
+    let (braced, le_sep) = if labels.is_empty() {
+        (String::new(), "")
+    } else {
+        (format!("{{{labels}}}"), ",")
+    };
+    let mut cumulative = 0u64;
+    for i in 0..HISTOGRAM_BUCKETS {
+        cumulative += h.buckets.get(i).copied().unwrap_or(0);
+        let le = HistogramSnapshot::le_label(i);
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{le_sep}le=\"{le}\"}} {cumulative}"
+        );
     }
+    let _ = writeln!(out, "{name}_sum{braced} {}", h.sum_us);
+    let _ = writeln!(out, "{name}_count{braced} {}", h.count);
 }
 
 /// Render per-site metric snapshots in the Prometheus text exposition
-/// format. Histogram buckets are cumulative with power-of-two `le`
-/// boundaries (microseconds).
+/// format: every [`SCALAR_FAMILIES`] family with a `site` label, then the
+/// labelled `sdvm_dispatch_us` (per manager) and
+/// `sdvm_mem_shard_contention` (per shard). Histogram buckets are
+/// cumulative with power-of-two `le` boundaries (microseconds).
 pub fn prometheus_text(sites: &[(SiteId, SiteMetrics)]) -> String {
     let mut out = String::new();
-    let c = |f: fn(&SiteMetrics) -> u64| -> Vec<(SiteId, u64)> {
-        sites.iter().map(|(s, m)| (*s, f(m))).collect()
-    };
-    let h = |f: fn(&SiteMetrics) -> &HistogramSnapshot| -> Vec<(String, &HistogramSnapshot)> {
-        sites
-            .iter()
-            .map(|(s, m)| (format!("site=\"{}\"", s.0), f(m)))
-            .collect()
-    };
-
-    write_counter(
-        &mut out,
-        "sdvm_messages_sent_total",
-        "Messages leaving the site's message manager.",
-        &c(|m| m.messages_sent),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_messages_received_total",
-        "Messages dispatched on the site.",
-        &c(|m| m.messages_received),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_executed_total",
-        "Microframes executed.",
-        &c(|m| m.frames_executed),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_requests_total",
-        "Help requests sent.",
-        &c(|m| m.help_requests),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_granted_total",
-        "Help requests answered with a frame.",
-        &c(|m| m.help_granted),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_denied_total",
-        "Help requests answered with can't-help.",
-        &c(|m| m.help_denied),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_suspicions_raised_total",
-        "Failure-detector suspicions raised.",
-        &c(|m| m.suspicions_raised),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_suspicions_refuted_total",
-        "Failure-detector suspicions withdrawn.",
-        &c(|m| m.suspicions_refuted),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_zombies_fenced_total",
-        "Messages fenced for carrying a declared-dead incarnation.",
-        &c(|m| m.zombies_fenced),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_crashes_declared_total",
-        "Peers declared crashed.",
-        &c(|m| m.crashes_declared),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_retried_total",
-        "Microframes re-enqueued with backoff after an infrastructure error.",
-        &c(|m| m.frames_retried),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_quarantined_total",
-        "Microframes moved to the dead-letter store.",
-        &c(|m| m.frames_quarantined),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_handler_panics_total",
-        "Handler panics caught by the execution engine.",
-        &c(|m| m.handler_panics),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_workers_respawned_total",
-        "Worker slot threads respawned by the supervisor.",
-        &c(|m| m.workers_respawned),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_programs_stuck_total",
-        "Programs the watchdog declared stuck.",
-        &c(|m| m.programs_stuck),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_replica_hits_total",
-        "Non-migrating reads served from a fresh local replica.",
-        &c(|m| m.mem_replica_hits),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_replica_misses_total",
-        "Non-migrating reads that found no usable local copy and went remote.",
-        &c(|m| m.mem_replica_misses),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_invalidations_total",
-        "Cached replicas dropped on an owner's invalidation.",
-        &c(|m| m.mem_invalidations),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_replicas_dispatched_total",
-        "Replica copies dispatched by the site's replication coordinator.",
-        &c(|m| m.replicas_dispatched),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_result_divergence_total",
-        "Frames whose replicas returned divergent results.",
-        &c(|m| m.result_divergence),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_hedges_fired_total",
-        "Hedge duplicates fired after a frame's delay elapsed unanswered.",
-        &c(|m| m.hedges_fired),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_hedge_wins_total",
-        "Hedged frames settled by a fired duplicate, not the primary.",
-        &c(|m| m.hedge_wins),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_outbound_backpressure_stalls_total",
-        "Sends that hit a full outbound queue and had to wait.",
-        &c(|m| m.backpressure_stalls),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_outbound_queue_depth",
-        "Frames waiting in the transport's outbound queues.",
-        &c(|m| m.outbound_queue_depth),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_net_peers_connected",
-        "Peers the transport holds a live connection to.",
-        &c(|m| m.net_peers_connected),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_net_driver_threads",
-        "Transport driver threads (pollers + listener).",
-        &c(|m| m.net_driver_threads),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_coord_error_ms",
-        "Vivaldi coordinate fit error (EWMA of absolute RTT prediction error, ms).",
-        &c(|m| m.coord_error_ms),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_started_total",
-        "Graceful drains started on the site.",
-        &c(|m| m.drain_started),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_completed_total",
-        "Graceful drains that ran to completion.",
-        &c(|m| m.drain_completed),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_objects_relocated_total",
-        "Memory objects relocated to peers during drains.",
-        &c(|m| m.drain_objects_relocated),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_frames_relocated_total",
-        "Waiting microframes relocated to peers during drains.",
-        &c(|m| m.drain_frames_relocated),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_dead_letters_swept_total",
-        "Dead letters swept to the successor during drains.",
-        &c(|m| m.drain_dead_letters_swept),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_cuts_total",
-        "Incremental (pause-free) checkpoint cuts taken.",
-        &c(|m| m.checkpoint_incremental_cuts),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_shards_captured_total",
-        "Shards re-captured because dirty (or never cut) since the previous incremental cut.",
-        &c(|m| m.checkpoint_incremental_shards_captured),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_shards_reused_total",
-        "Shards whose cached incremental cut was reused unchanged.",
-        &c(|m| m.checkpoint_incremental_shards_reused),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_bus_dropped_total",
-        "Trace-bus events overwritten unread in the bounded ring.",
-        &c(|m| m.bus_dropped),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_bus_tap_dropped_total",
-        "Trace-bus events dropped at full live-tap subscriber channels.",
-        &c(|m| m.bus_tap_dropped),
-    );
-
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_us",
-        "Whole microframe career, created to executed (microseconds).",
-        &h(|m| &m.career_total_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_wait_us",
-        "Dataflow wait, created to executable (microseconds).",
-        &h(|m| &m.career_wait_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_fetch_us",
-        "Code fetch, executable to ready (microseconds).",
-        &h(|m| &m.career_fetch_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_exec_us",
-        "Queue plus run, ready to executed (microseconds).",
-        &h(|m| &m.career_exec_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_seal_us",
-        "Security-manager seal time (microseconds).",
-        &h(|m| &m.seal_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_open_us",
-        "Security-manager open time (microseconds).",
-        &h(|m| &m.open_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_help_rtt_us",
-        "Help-request round trip (microseconds).",
-        &h(|m| &m.help_rtt_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_compile_us",
-        "Simulated on-the-fly compile duration (microseconds).",
-        &h(|m| &m.compile_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_detector_detection_latency_us",
-        "Failure-detector detection latency, last-heard to declared (microseconds).",
-        &h(|m| &m.detection_latency_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_retry_delay_us",
-        "Backoff delay applied before each frame retry (microseconds).",
-        &h(|m| &m.retry_delay_us),
-    );
-
-    write_histogram(
-        &mut out,
-        "sdvm_drain_duration_us",
-        "Wall-clock duration of completed drains (microseconds).",
-        &h(|m| &m.drain_duration_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_checkpoint_incremental_block_us",
-        "Longest single-shard lock hold per incremental cut, the worst-case worker block (microseconds).",
-        &h(|m| &m.checkpoint_incremental_block_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_mem_chase_hops",
-        "Owner hops chased per remote read/write (count, log2 buckets).",
-        &h(|m| &m.mem_chase_hops),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_hedge_delay_us",
-        "Pending time of hedged frames when their duplicate fired (microseconds).",
-        &h(|m| &m.hedge_delay_us),
-    );
-
-    // Per-manager dispatch histograms carry an extra label.
-    let mut dispatch: Vec<(String, &HistogramSnapshot)> = Vec::new();
-    for (site, m) in sites {
-        for (mgr, snap) in &m.dispatch_us {
-            dispatch.push((
-                format!("site=\"{}\",manager=\"{}\"", site.0, prom_label_escape(mgr)),
-                snap,
-            ));
+    let rows: Vec<_> = sites
+        .iter()
+        .map(|(s, m)| (format!("site=\"{}\"", s.0), m.samples()))
+        .collect();
+    for (i, fam) in SCALAR_FAMILIES.iter().enumerate() {
+        write_header(&mut out, fam.name, fam.kind, fam.help);
+        for (labels, samples) in &rows {
+            match samples[i] {
+                Sample::Value(v) => {
+                    let _ = writeln!(out, "{}{{{labels}}} {v}", fam.name);
+                }
+                Sample::Histogram(h) => write_histogram_series(&mut out, fam.name, labels, h),
+            }
         }
     }
-    write_histogram(
+
+    write_header(
         &mut out,
         "sdvm_dispatch_us",
+        MetricKind::Histogram,
         "Per-manager inbound dispatch time (microseconds).",
-        &dispatch,
     );
+    for (site, m) in sites {
+        for (mgr, snap) in &m.dispatch_us {
+            let labels = format!("site=\"{}\",manager=\"{}\"", site.0, prom_label_escape(mgr));
+            write_histogram_series(&mut out, "sdvm_dispatch_us", &labels, snap);
+        }
+    }
 
-    // Per-shard attraction-memory contention gauge: one series per
-    // (site, shard).
-    let _ = writeln!(
-        out,
-        "# HELP sdvm_mem_shard_contention Attraction-memory shard lock contention (blocking lock acquisitions)."
+    write_header(
+        &mut out,
+        "sdvm_mem_shard_contention",
+        MetricKind::Gauge,
+        "Attraction-memory shard lock contention (blocking lock acquisitions).",
     );
-    let _ = writeln!(out, "# TYPE sdvm_mem_shard_contention gauge");
     for (site, m) in sites {
         for (shard, v) in m.mem_shard_contention.iter().enumerate() {
             let _ = writeln!(
@@ -675,7 +369,7 @@ pub fn prometheus_text(sites: &[(SiteId, SiteMetrics)]) -> String {
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
-    use crate::telemetry::metrics::Metrics;
+    use crate::telemetry::metrics::{Cell, Metrics};
     use crate::trace::TraceLog;
     use sdvm_types::{ManagerId, MicrothreadId, ProgramId};
 
@@ -734,63 +428,63 @@ mod tests {
 
     #[test]
     fn prometheus_export_renders_families() {
+        // Every table row gets its own value: row `i` reads `i + 1`
+        // (counters, gauges) or holds `i + 1` observations (histograms),
+        // so a family rendering another row's field shows a wrong value.
         let m = Metrics::new();
-        m.help_requests.inc();
-        m.detection_latency_us.observe(344_000);
-        m.career_total_us.observe(120);
-        m.mem_replica_hits.inc();
-        m.mem_replica_misses.inc();
-        m.mem_invalidations.inc();
-        m.mem_chase_hops.observe(1);
-        m.replicas_dispatched.inc();
-        m.result_divergence.inc();
-        m.hedges_fired.inc();
-        m.hedge_wins.inc();
-        m.hedge_delay_us.observe(2_000);
-        m.drain_started.inc();
-        m.drain_completed.inc();
-        m.drain_objects_relocated.add(4);
-        m.drain_frames_relocated.add(2);
-        m.drain_dead_letters_swept.inc();
-        m.drain_duration_us.observe(9_000);
-        m.checkpoint_incremental_cuts.inc();
-        m.checkpoint_incremental_shards_captured.add(3);
-        m.checkpoint_incremental_shards_reused.add(13);
-        m.checkpoint_incremental_block_us.observe(40);
+        for (i, cell) in m.cells().into_iter().enumerate() {
+            let v = i as u64 + 1;
+            match cell {
+                Cell::Counter(c) => c.add(v),
+                Cell::Gauge(g) => g.set(v),
+                Cell::Histogram(h) => (0..v).for_each(|_| h.observe(120)),
+                Cell::Status => {}
+            }
+        }
+        let value_of = |family: &str| {
+            SCALAR_FAMILIES
+                .iter()
+                .position(|f| f.name == family)
+                .expect("family is in the table") as u64
+                + 1
+        };
         let mut snap = m.snapshot();
+        snap.backpressure_stalls = value_of("sdvm_outbound_backpressure_stalls_total");
+        snap.bus_dropped = value_of("sdvm_bus_dropped_total");
+        snap.bus_tap_dropped = value_of("sdvm_bus_tap_dropped_total");
         snap.mem_shard_contention = vec![0, 3];
-        snap.bus_dropped = 2;
-        snap.bus_tap_dropped = 5;
         let text = prometheus_text(&[(SiteId(1), snap)]);
-        assert!(text.contains("# TYPE sdvm_help_requests_total counter"));
-        assert!(text.contains("sdvm_help_requests_total{site=\"1\"} 1"));
-        assert!(text.contains("# TYPE sdvm_detector_detection_latency_us histogram"));
-        assert!(text.contains("sdvm_detector_detection_latency_us_count{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_frame_career_us_bucket{site=\"1\",le=\"127\"} 1"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
+        let lines: Vec<&str> = text.lines().collect();
+
+        for (i, fam) in SCALAR_FAMILIES.iter().enumerate() {
+            let v = i as u64 + 1;
+            let type_line = format!("# TYPE {} {}", fam.name, fam.kind.as_str());
+            assert!(lines.contains(&type_line.as_str()), "missing {type_line}");
+            let sample = match fam.kind {
+                MetricKind::Histogram => format!("{}_count{{site=\"1\"}} {v}", fam.name),
+                _ => format!("{}{{site=\"1\"}} {v}", fam.name),
+            };
+            assert!(
+                lines.contains(&sample.as_str()),
+                "{} does not carry its own field's value: want `{sample}`",
+                fam.name
+            );
+        }
+        let career = value_of("sdvm_frame_career_us");
+        assert!(text.contains(&format!(
+            "sdvm_frame_career_us_bucket{{site=\"1\",le=\"127\"}} {career}"
+        )));
+        assert!(text.contains(&format!("le=\"+Inf\"}} {career}")));
         assert!(text.contains("manager=\"Scheduling\""));
-        assert!(text.contains("sdvm_mem_replica_hits_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_mem_replica_misses_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_mem_invalidations_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_mem_chase_hops_count{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_replicas_dispatched_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_result_divergence_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_hedges_fired_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_hedge_wins_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_hedge_delay_us_count{site=\"1\"} 1"));
         assert!(text.contains("sdvm_mem_shard_contention{site=\"1\",shard=\"1\"} 3"));
-        assert!(text.contains("sdvm_bus_dropped_total{site=\"1\"} 2"));
-        assert!(text.contains("sdvm_bus_tap_dropped_total{site=\"1\"} 5"));
-        assert!(text.contains("sdvm_drain_started_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_drain_completed_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_drain_objects_relocated_total{site=\"1\"} 4"));
-        assert!(text.contains("sdvm_drain_frames_relocated_total{site=\"1\"} 2"));
-        assert!(text.contains("sdvm_drain_dead_letters_swept_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_drain_duration_us_count{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_checkpoint_incremental_cuts_total{site=\"1\"} 1"));
-        assert!(text.contains("sdvm_checkpoint_incremental_shards_captured_total{site=\"1\"} 3"));
-        assert!(text.contains("sdvm_checkpoint_incremental_shards_reused_total{site=\"1\"} 13"));
-        assert!(text.contains("sdvm_checkpoint_incremental_block_us_count{site=\"1\"} 1"));
+        assert!(text.contains(&format!(
+            "sdvm_bus_dropped_total{{site=\"1\"}} {}",
+            value_of("sdvm_bus_dropped_total")
+        )));
+        assert!(text.contains(&format!(
+            "sdvm_bus_tap_dropped_total{{site=\"1\"}} {}",
+            value_of("sdvm_bus_tap_dropped_total")
+        )));
     }
 
     #[test]

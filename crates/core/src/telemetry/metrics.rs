@@ -199,152 +199,6 @@ struct CareerMarks {
 /// trading a window of lost career samples for bounded memory.
 const CAREER_MAP_CAP: usize = 100_000;
 
-/// Per-site metrics registry. One instance hangs off every `SiteInner`;
-/// event-derived metrics update through [`Metrics::observe`] (called on
-/// every trace-point, whether or not a `TraceLog` is attached), and hot
-/// paths with real timing data (seal, open, dispatch, help RTT, compile)
-/// record directly into the histograms.
-pub struct Metrics {
-    epoch: Instant,
-
-    // ---- counters (event-derived) ----
-    /// Messages leaving this site's message manager.
-    pub messages_sent: Counter,
-    /// Messages dispatched on this site.
-    pub messages_received: Counter,
-    /// Help requests sent.
-    pub help_requests: Counter,
-    /// Help requests this site answered with a frame.
-    pub help_granted: Counter,
-    /// Help requests this site answered with can't-help.
-    pub help_denied: Counter,
-    /// Suspicions this site raised (failure detector phase 1).
-    pub suspicions_raised: Counter,
-    /// Suspicions this site withdrew after fresh liveness evidence.
-    pub suspicions_refuted: Counter,
-    /// Messages fenced because they carried a declared-dead incarnation.
-    pub zombies_fenced: Counter,
-    /// Peers this site declared crashed.
-    pub crashes_declared: Counter,
-    /// Frames this site executed.
-    pub frames_executed: Counter,
-
-    // ---- gauges ----
-    /// Frames waiting in the transport's outbound queues (sampled at
-    /// status time).
-    pub outbound_queue_depth: Gauge,
-    /// Peers the transport currently holds a live connection to
-    /// (sampled at status time).
-    pub net_peers_connected: Gauge,
-    /// Threads the transport driver runs, pollers + listener — constant
-    /// for an event-driven transport no matter how many peers connect
-    /// (sampled at status time).
-    pub net_driver_threads: Gauge,
-    /// Vivaldi coordinate fit error: EWMA of the absolute RTT
-    /// prediction error, rounded to whole milliseconds (sampled at
-    /// status time).
-    pub coord_error_ms: Gauge,
-
-    // ---- histograms (µs) ----
-    /// Whole career: created → executed.
-    pub career_total_us: Histogram,
-    /// Dataflow wait: created → executable (last parameter arrives).
-    pub career_wait_us: Histogram,
-    /// Code fetch: executable → ready.
-    pub career_fetch_us: Histogram,
-    /// Queue + run: ready → executed.
-    pub career_exec_us: Histogram,
-    /// Security-manager seal (encode + encrypt + frame) time.
-    pub seal_us: Histogram,
-    /// Security-manager open (decrypt + verify) time.
-    pub open_us: Histogram,
-    /// Per-manager inbound dispatch (handler) time, indexed by
-    /// [`manager_index`].
-    pub dispatch_us: Vec<Histogram>,
-    /// Help-request round trip (request sent → reply or timeout).
-    pub help_rtt_us: Histogram,
-    /// Simulated on-the-fly compile duration.
-    pub compile_us: Histogram,
-    /// Failure-detector detection latency: last-heard → declared-crashed.
-    pub detection_latency_us: Histogram,
-    /// Backoff delay applied before each frame retry.
-    pub retry_delay_us: Histogram,
-
-    // ---- engine counters (cold: poison/repair events only) ----
-    // Declared after the hot histograms so the seed's field offsets —
-    // and with them the message-path cache lines — stay unchanged.
-    /// Frames re-enqueued with backoff after an infrastructure error.
-    pub frames_retried: Counter,
-    /// Frames moved to the dead-letter store (retry budget exhausted,
-    /// handler panic, or application error).
-    pub frames_quarantined: Counter,
-    /// Handler panics caught by the execution engine.
-    pub handler_panics: Counter,
-    /// Worker slot threads respawned by the supervisor.
-    pub workers_respawned: Counter,
-    /// Programs the watchdog declared stuck.
-    pub programs_stuck: Counter,
-
-    // ---- attraction-memory coherence (cold: replica protocol only) ----
-    /// Non-migrating reads served from a fresh local replica.
-    pub mem_replica_hits: Counter,
-    /// Non-migrating reads that found no usable local copy and went
-    /// remote.
-    pub mem_replica_misses: Counter,
-    /// Cached replicas dropped on an owner's invalidation (counted at
-    /// the holder, on actual drop).
-    pub mem_invalidations: Counter,
-    /// Owner hops a remote read/write chased before succeeding (count,
-    /// not µs — the log2 buckets still apply).
-    pub mem_chase_hops: Histogram,
-
-    // ---- replicated / hedged execution (cold: coordinator only) ----
-    // Incremented directly by the replication manager (like
-    // `handler_panics`), not event-derived — the emitting site is
-    // always the coordinator itself.
-    /// Replica copies dispatched by this site's coordinator (all
-    /// rounds, vote and hedge).
-    pub replicas_dispatched: Counter,
-    /// Frames whose replicas returned divergent results (counted once
-    /// per frame, however many ballots disagree).
-    pub result_divergence: Counter,
-    /// Hedge duplicates fired after a frame's delay elapsed unanswered.
-    pub hedges_fired: Counter,
-    /// Hedged frames settled by a fired duplicate, not the primary.
-    pub hedge_wins: Counter,
-    /// How long a hedged frame had been pending when a duplicate fired.
-    pub hedge_delay_us: Histogram,
-
-    // ---- planned departure & online checkpoint (cold: ops only) ----
-    /// Drains started on this site (incremented when the `SiteDraining`
-    /// gossip goes out, before any relocation work).
-    pub drain_started: Counter,
-    /// Drains that ran to completion (objects relocated, duties handed
-    /// off, outbound queues flushed).
-    pub drain_completed: Counter,
-    /// Memory objects relocated to peers during drains.
-    pub drain_objects_relocated: Counter,
-    /// Waiting (non-executable) frames relocated to peers during drains.
-    pub drain_frames_relocated: Counter,
-    /// Dead letters swept to the successor during drains.
-    pub drain_dead_letters_swept: Counter,
-    /// Wall-clock duration of each completed drain.
-    pub drain_duration_us: Histogram,
-    /// Incremental (pause-free) checkpoint cuts taken on this site.
-    pub checkpoint_incremental_cuts: Counter,
-    /// Shards re-captured because they were dirty (or never cut) since
-    /// the previous incremental cut.
-    pub checkpoint_incremental_shards_captured: Counter,
-    /// Shards whose cached cut was reused unchanged.
-    pub checkpoint_incremental_shards_reused: Counter,
-    /// Longest single-shard lock hold per incremental cut — the worst
-    /// case a worker could be blocked by the copy-on-write capture.
-    pub checkpoint_incremental_block_us: Histogram,
-
-    /// In-flight career marks, keyed by frame address.
-    careers: Mutex<HashMap<GlobalAddress, CareerMarks>>,
-}
-
 /// Managers whose inbound dispatch time is tracked, in
 /// [`Metrics::dispatch_us`] index order.
 pub const DISPATCH_MANAGERS: [ManagerId; 7] = [
@@ -363,63 +217,328 @@ pub fn manager_index(m: ManagerId) -> Option<usize> {
     DISPATCH_MANAGERS.iter().position(|d| *d == m)
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            epoch: Instant::now(),
-            messages_sent: Counter::default(),
-            messages_received: Counter::default(),
-            help_requests: Counter::default(),
-            help_granted: Counter::default(),
-            help_denied: Counter::default(),
-            suspicions_raised: Counter::default(),
-            suspicions_refuted: Counter::default(),
-            zombies_fenced: Counter::default(),
-            crashes_declared: Counter::default(),
-            frames_executed: Counter::default(),
-            frames_retried: Counter::default(),
-            frames_quarantined: Counter::default(),
-            handler_panics: Counter::default(),
-            workers_respawned: Counter::default(),
-            programs_stuck: Counter::default(),
-            mem_replica_hits: Counter::default(),
-            mem_replica_misses: Counter::default(),
-            mem_invalidations: Counter::default(),
-            mem_chase_hops: Histogram::default(),
-            replicas_dispatched: Counter::default(),
-            result_divergence: Counter::default(),
-            hedges_fired: Counter::default(),
-            hedge_wins: Counter::default(),
-            hedge_delay_us: Histogram::default(),
-            drain_started: Counter::default(),
-            drain_completed: Counter::default(),
-            drain_objects_relocated: Counter::default(),
-            drain_frames_relocated: Counter::default(),
-            drain_dead_letters_swept: Counter::default(),
-            drain_duration_us: Histogram::default(),
-            checkpoint_incremental_cuts: Counter::default(),
-            checkpoint_incremental_shards_captured: Counter::default(),
-            checkpoint_incremental_shards_reused: Counter::default(),
-            checkpoint_incremental_block_us: Histogram::default(),
-            outbound_queue_depth: Gauge::default(),
-            net_peers_connected: Gauge::default(),
-            net_driver_threads: Gauge::default(),
-            coord_error_ms: Gauge::default(),
-            career_total_us: Histogram::default(),
-            career_wait_us: Histogram::default(),
-            career_fetch_us: Histogram::default(),
-            career_exec_us: Histogram::default(),
-            seal_us: Histogram::default(),
-            open_us: Histogram::default(),
-            dispatch_us: (0..DISPATCH_MANAGERS.len())
-                .map(|_| Histogram::default())
-                .collect(),
-            help_rtt_us: Histogram::default(),
-            compile_us: Histogram::default(),
-            detection_latency_us: Histogram::default(),
-            retry_delay_us: Histogram::default(),
-            careers: Mutex::new(HashMap::new()),
+/// Prometheus `TYPE` of a metric family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotonically increasing count.
+    Counter,
+    /// Value that goes up and down.
+    Gauge,
+    /// Log2-bucketed distribution.
+    Histogram,
+}
+
+impl MetricKind {
+    /// The kind as a `# TYPE` line spells it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
         }
+    }
+}
+
+/// One scalar (unlabelled per site) family of the metric table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MetricFamily {
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// Prometheus `TYPE`.
+    pub kind: MetricKind,
+    /// `# HELP` text; also the rustdoc of the registry and snapshot
+    /// fields.
+    pub help: &'static str,
+}
+
+/// One scalar family's value in a [`SiteMetrics`] snapshot.
+#[derive(Clone, Copy)]
+pub(crate) enum Sample<'a> {
+    /// A counter or gauge reading.
+    Value(u64),
+    /// A histogram snapshot.
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// A registry cell behind one table row, for tests that drive every row.
+#[cfg(test)]
+pub(crate) enum Cell<'a> {
+    Counter(&'a Counter),
+    Gauge(&'a Gauge),
+    Histogram(&'a Histogram),
+    /// Filled in by `SiteManager::status`, not held by the registry.
+    Status,
+}
+
+/// Generates the registry, its snapshot and the scalar family list from
+/// the metric table below. A row is `kind field "family" "help";`, where
+/// kind is `counter`, `gauge`, `histogram`, or `status` (a `u64` that
+/// `SiteManager::status` fills into the snapshot, exported as a
+/// counter). A `{ field: Type = init }` item declares a registry field
+/// outside the table at that position, so the registry's field order is
+/// the table's order.
+macro_rules! site_metrics {
+    (@ty counter) => { Counter };
+    (@ty gauge) => { Gauge };
+    (@ty histogram) => { Histogram };
+    (@snap_ty histogram) => { HistogramSnapshot };
+    (@snap_ty $kind:ident) => { u64 };
+    (@kind histogram) => { MetricKind::Histogram };
+    (@kind gauge) => { MetricKind::Gauge };
+    (@kind $kind:ident) => { MetricKind::Counter };
+    (@snap status $f:expr) => { 0 };
+    (@snap histogram $f:expr) => { $f.snapshot() };
+    (@snap $kind:ident $f:expr) => { $f.get() };
+    (@sample histogram $f:expr) => { Sample::Histogram(&$f) };
+    (@sample $kind:ident $f:expr) => { Sample::Value($f) };
+    (@cell counter $f:expr) => { Cell::Counter(&$f) };
+    (@cell gauge $f:expr) => { Cell::Gauge(&$f) };
+    (@cell histogram $f:expr) => { Cell::Histogram(&$f) };
+    (@cell status $f:expr) => { Cell::Status };
+
+    // All items consumed: emit.
+    (@munch [$($decl:tt)*] [$($init:tt)*]
+        [$($kind:ident $f:ident $family:literal $help:literal;)*]) => {
+        /// Per-site metrics registry. One instance hangs off every
+        /// `SiteInner`; event-derived metrics update through
+        /// [`Metrics::observe`] (called on every trace-point, whether or
+        /// not a `TraceLog` is attached), and hot paths with real timing
+        /// data (seal, open, dispatch, help RTT, compile) record directly
+        /// into the histograms.
+        pub struct Metrics {
+            $($decl)*
+        }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Metrics { $($init)* }
+            }
+        }
+
+        /// Every scalar per-site family in table order. `prometheus_text`
+        /// emits these plus the two labelled families `sdvm_dispatch_us`
+        /// (per manager) and `sdvm_mem_shard_contention` (per shard).
+        pub const SCALAR_FAMILIES: &[MetricFamily] = &[$(MetricFamily {
+            name: $family,
+            kind: site_metrics!(@kind $kind),
+            help: $help,
+        },)*];
+
+        /// A typed point-in-time snapshot of one site's metrics (the
+        /// metrics half of `SiteStatus`).
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct SiteMetrics {
+            $(#[doc = $help] pub $f: site_metrics!(@snap_ty $kind),)*
+            /// Per-manager inbound dispatch time (µs), labeled by manager
+            /// name.
+            pub dispatch_us: Vec<(String, HistogramSnapshot)>,
+            /// Per-shard attraction-memory lock contention counts (filled
+            /// in from the memory manager at snapshot time).
+            pub mem_shard_contention: Vec<u64>,
+        }
+
+        impl Metrics {
+            /// Typed point-in-time snapshot of every metric. `status`
+            /// rows and the shard contention are left for
+            /// `SiteManager::status` to fill in.
+            pub fn snapshot(&self) -> SiteMetrics {
+                SiteMetrics {
+                    $($f: site_metrics!(@snap $kind self.$f),)*
+                    dispatch_us: DISPATCH_MANAGERS
+                        .iter()
+                        .zip(self.dispatch_us.iter())
+                        .map(|(m, h)| (format!("{m:?}"), h.snapshot()))
+                        .collect(),
+                    mem_shard_contention: Vec::new(),
+                }
+            }
+
+            /// The registry cell of each scalar family, in
+            /// [`SCALAR_FAMILIES`] order.
+            #[cfg(test)]
+            pub(crate) fn cells(&self) -> [Cell<'_>; SCALAR_FAMILIES.len()] {
+                [$(site_metrics!(@cell $kind self.$f)),*]
+            }
+        }
+
+        impl SiteMetrics {
+            /// The sample of each scalar family, in [`SCALAR_FAMILIES`]
+            /// order.
+            pub(crate) fn samples(&self) -> [Sample<'_>; SCALAR_FAMILIES.len()] {
+                [$(site_metrics!(@sample $kind self.$f)),*]
+            }
+        }
+    };
+    (@munch [$($decl:tt)*] [$($init:tt)*] [$($row:tt)*]
+        status $f:ident $family:literal $help:literal; $($rest:tt)*) => {
+        site_metrics!(@munch [$($decl)*] [$($init)*]
+            [$($row)* status $f $family $help;] $($rest)*);
+    };
+    (@munch [$($decl:tt)*] [$($init:tt)*] [$($row:tt)*]
+        $kind:ident $f:ident $family:literal $help:literal; $($rest:tt)*) => {
+        site_metrics!(@munch
+            [$($decl)* #[doc = $help] pub $f: site_metrics!(@ty $kind),]
+            [$($init)* $f: Default::default(),]
+            [$($row)* $kind $f $family $help;] $($rest)*);
+    };
+    (@munch [$($decl:tt)*] [$($init:tt)*] [$($row:tt)*]
+        { $(#[$attr:meta])* $vis:vis $f:ident: $ty:ty = $val:expr } $($rest:tt)*) => {
+        site_metrics!(@munch [$($decl)* $(#[$attr])* $vis $f: $ty,] [$($init)* $f: $val,]
+            [$($row)*] $($rest)*);
+    };
+    ($($table:tt)*) => {
+        site_metrics!(@munch [] [] [] $($table)*);
+    };
+}
+
+site_metrics! {
+    { epoch: Instant = Instant::now() }
+
+    // ---- counters (event-derived) ----
+    counter messages_sent "sdvm_messages_sent_total"
+        "Messages leaving the site's message manager.";
+    counter messages_received "sdvm_messages_received_total"
+        "Messages dispatched on the site.";
+    counter help_requests "sdvm_help_requests_total"
+        "Help requests sent.";
+    counter help_granted "sdvm_help_granted_total"
+        "Help requests answered with a frame.";
+    counter help_denied "sdvm_help_denied_total"
+        "Help requests answered with can't-help.";
+    counter suspicions_raised "sdvm_detector_suspicions_raised_total"
+        "Failure-detector suspicions raised.";
+    counter suspicions_refuted "sdvm_detector_suspicions_refuted_total"
+        "Failure-detector suspicions withdrawn after fresh liveness evidence.";
+    counter zombies_fenced "sdvm_detector_zombies_fenced_total"
+        "Messages fenced for carrying a declared-dead incarnation.";
+    counter crashes_declared "sdvm_detector_crashes_declared_total"
+        "Peers declared crashed.";
+    counter frames_executed "sdvm_frames_executed_total"
+        "Microframes executed.";
+
+    // ---- gauges (sampled at status time) ----
+    gauge outbound_queue_depth "sdvm_outbound_queue_depth"
+        "Frames waiting in the transport's outbound queues.";
+    gauge net_peers_connected "sdvm_net_peers_connected"
+        "Peers the transport holds a live connection to.";
+    gauge net_driver_threads "sdvm_net_driver_threads"
+        "Transport driver threads (pollers + listener), constant for an \
+         event-driven transport however many peers connect.";
+    gauge coord_error_ms "sdvm_coord_error_ms"
+        "Vivaldi coordinate fit error (EWMA of absolute RTT prediction error, ms).";
+
+    // ---- filled in by `SiteManager::status` (no registry field) ----
+    status backpressure_stalls "sdvm_outbound_backpressure_stalls_total"
+        "Sends that hit a full outbound queue and had to wait.";
+    status bus_dropped "sdvm_bus_dropped_total"
+        "Trace-bus events overwritten unread in the bounded ring; non-zero \
+         means the flight recorder's last-N window is lossy.";
+    status bus_tap_dropped "sdvm_bus_tap_dropped_total"
+        "Trace-bus events dropped at full live-tap subscriber channels.";
+
+    // ---- histograms (µs) ----
+    histogram career_total_us "sdvm_frame_career_us"
+        "Whole microframe career, created to executed (microseconds).";
+    histogram career_wait_us "sdvm_frame_career_wait_us"
+        "Dataflow wait, created to executable (microseconds).";
+    histogram career_fetch_us "sdvm_frame_career_fetch_us"
+        "Code fetch, executable to ready (microseconds).";
+    histogram career_exec_us "sdvm_frame_career_exec_us"
+        "Queue plus run, ready to executed (microseconds).";
+    histogram seal_us "sdvm_seal_us"
+        "Security-manager seal (encode + encrypt + frame) time (microseconds).";
+    histogram open_us "sdvm_open_us"
+        "Security-manager open (decrypt + verify) time (microseconds).";
+    {
+        /// Per-manager inbound dispatch (handler) time, indexed by
+        /// [`manager_index`]; exported by hand as the labelled
+        /// `sdvm_dispatch_us` family.
+        pub dispatch_us: Vec<Histogram> =
+            (0..DISPATCH_MANAGERS.len()).map(|_| Histogram::default()).collect()
+    }
+    histogram help_rtt_us "sdvm_help_rtt_us"
+        "Help-request round trip, request sent to reply or timeout (microseconds).";
+    histogram compile_us "sdvm_compile_us"
+        "Simulated on-the-fly compile duration (microseconds).";
+    histogram detection_latency_us "sdvm_detector_detection_latency_us"
+        "Failure-detector detection latency, last-heard to declared (microseconds).";
+    histogram retry_delay_us "sdvm_retry_delay_us"
+        "Backoff delay applied before each frame retry (microseconds).";
+
+    // ---- engine counters (cold: poison/repair events only) ----
+    // Declared after the hot histograms so the seed's field offsets —
+    // and with them the message-path cache lines — stay unchanged.
+    counter frames_retried "sdvm_frames_retried_total"
+        "Microframes re-enqueued with backoff after an infrastructure error.";
+    counter frames_quarantined "sdvm_frames_quarantined_total"
+        "Microframes moved to the dead-letter store (retry budget exhausted, \
+         handler panic, or application error).";
+    counter handler_panics "sdvm_handler_panics_total"
+        "Handler panics caught by the execution engine.";
+    counter workers_respawned "sdvm_workers_respawned_total"
+        "Worker slot threads respawned by the supervisor.";
+    counter programs_stuck "sdvm_programs_stuck_total"
+        "Programs the watchdog declared stuck.";
+
+    // ---- attraction-memory coherence (cold: replica protocol only) ----
+    counter mem_replica_hits "sdvm_mem_replica_hits_total"
+        "Non-migrating reads served from a fresh local replica.";
+    counter mem_replica_misses "sdvm_mem_replica_misses_total"
+        "Non-migrating reads that found no usable local copy and went remote.";
+    counter mem_invalidations "sdvm_mem_invalidations_total"
+        "Cached replicas dropped on an owner's invalidation (counted at the \
+         holder, on actual drop).";
+    histogram mem_chase_hops "sdvm_mem_chase_hops"
+        "Owner hops chased per remote read/write (count, log2 buckets).";
+
+    // ---- replicated / hedged execution (cold: coordinator only) ----
+    // Incremented directly by the replication manager (like
+    // `handler_panics`), not event-derived — the emitting site is
+    // always the coordinator itself.
+    counter replicas_dispatched "sdvm_replicas_dispatched_total"
+        "Replica copies dispatched by the site's replication coordinator \
+         (all rounds, vote and hedge).";
+    counter result_divergence "sdvm_result_divergence_total"
+        "Frames whose replicas returned divergent results (once per frame, \
+         however many ballots disagree).";
+    counter hedges_fired "sdvm_hedges_fired_total"
+        "Hedge duplicates fired after a frame's delay elapsed unanswered.";
+    counter hedge_wins "sdvm_hedge_wins_total"
+        "Hedged frames settled by a fired duplicate, not the primary.";
+    histogram hedge_delay_us "sdvm_hedge_delay_us"
+        "Pending time of hedged frames when their duplicate fired (microseconds).";
+
+    // ---- planned departure & online checkpoint (cold: ops only) ----
+    counter drain_started "sdvm_drain_started_total"
+        "Graceful drains started on the site (counted when the SiteDraining \
+         gossip goes out, before any relocation work).";
+    counter drain_completed "sdvm_drain_completed_total"
+        "Graceful drains that ran to completion (objects relocated, duties \
+         handed off, outbound queues flushed).";
+    counter drain_objects_relocated "sdvm_drain_objects_relocated_total"
+        "Memory objects relocated to peers during drains.";
+    counter drain_frames_relocated "sdvm_drain_frames_relocated_total"
+        "Waiting microframes relocated to peers during drains.";
+    counter drain_dead_letters_swept "sdvm_drain_dead_letters_swept_total"
+        "Dead letters swept to the successor during drains.";
+    histogram drain_duration_us "sdvm_drain_duration_us"
+        "Wall-clock duration of completed drains (microseconds).";
+    counter checkpoint_incremental_cuts "sdvm_checkpoint_incremental_cuts_total"
+        "Incremental (pause-free) checkpoint cuts taken.";
+    counter checkpoint_incremental_shards_captured
+        "sdvm_checkpoint_incremental_shards_captured_total"
+        "Shards re-captured because dirty (or never cut) since the previous \
+         incremental cut.";
+    counter checkpoint_incremental_shards_reused
+        "sdvm_checkpoint_incremental_shards_reused_total"
+        "Shards whose cached incremental cut was reused unchanged.";
+    histogram checkpoint_incremental_block_us "sdvm_checkpoint_incremental_block_us"
+        "Longest single-shard lock hold per incremental cut, the worst-case \
+         worker block (microseconds).";
+
+    {
+        /// In-flight career marks, keyed by frame address.
+        careers: Mutex<HashMap<GlobalAddress, CareerMarks>> = Mutex::new(HashMap::new())
     }
 }
 
@@ -506,190 +625,6 @@ impl Metrics {
             _ => {}
         }
     }
-
-    /// Typed point-in-time snapshot of every metric.
-    pub fn snapshot(&self) -> SiteMetrics {
-        SiteMetrics {
-            messages_sent: self.messages_sent.get(),
-            messages_received: self.messages_received.get(),
-            help_requests: self.help_requests.get(),
-            help_granted: self.help_granted.get(),
-            help_denied: self.help_denied.get(),
-            suspicions_raised: self.suspicions_raised.get(),
-            suspicions_refuted: self.suspicions_refuted.get(),
-            zombies_fenced: self.zombies_fenced.get(),
-            crashes_declared: self.crashes_declared.get(),
-            frames_executed: self.frames_executed.get(),
-            frames_retried: self.frames_retried.get(),
-            frames_quarantined: self.frames_quarantined.get(),
-            handler_panics: self.handler_panics.get(),
-            workers_respawned: self.workers_respawned.get(),
-            programs_stuck: self.programs_stuck.get(),
-            mem_replica_hits: self.mem_replica_hits.get(),
-            mem_replica_misses: self.mem_replica_misses.get(),
-            mem_invalidations: self.mem_invalidations.get(),
-            mem_chase_hops: self.mem_chase_hops.snapshot(),
-            replicas_dispatched: self.replicas_dispatched.get(),
-            result_divergence: self.result_divergence.get(),
-            hedges_fired: self.hedges_fired.get(),
-            hedge_wins: self.hedge_wins.get(),
-            hedge_delay_us: self.hedge_delay_us.snapshot(),
-            drain_started: self.drain_started.get(),
-            drain_completed: self.drain_completed.get(),
-            drain_objects_relocated: self.drain_objects_relocated.get(),
-            drain_frames_relocated: self.drain_frames_relocated.get(),
-            drain_dead_letters_swept: self.drain_dead_letters_swept.get(),
-            drain_duration_us: self.drain_duration_us.snapshot(),
-            checkpoint_incremental_cuts: self.checkpoint_incremental_cuts.get(),
-            checkpoint_incremental_shards_captured: self
-                .checkpoint_incremental_shards_captured
-                .get(),
-            checkpoint_incremental_shards_reused: self.checkpoint_incremental_shards_reused.get(),
-            checkpoint_incremental_block_us: self.checkpoint_incremental_block_us.snapshot(),
-            mem_shard_contention: Vec::new(),
-            outbound_queue_depth: self.outbound_queue_depth.get(),
-            net_peers_connected: self.net_peers_connected.get(),
-            net_driver_threads: self.net_driver_threads.get(),
-            coord_error_ms: self.coord_error_ms.get(),
-            backpressure_stalls: 0,
-            bus_dropped: 0,
-            bus_tap_dropped: 0,
-            career_total_us: self.career_total_us.snapshot(),
-            career_wait_us: self.career_wait_us.snapshot(),
-            career_fetch_us: self.career_fetch_us.snapshot(),
-            career_exec_us: self.career_exec_us.snapshot(),
-            seal_us: self.seal_us.snapshot(),
-            open_us: self.open_us.snapshot(),
-            dispatch_us: DISPATCH_MANAGERS
-                .iter()
-                .zip(self.dispatch_us.iter())
-                .map(|(m, h)| (format!("{m:?}"), h.snapshot()))
-                .collect(),
-            help_rtt_us: self.help_rtt_us.snapshot(),
-            compile_us: self.compile_us.snapshot(),
-            detection_latency_us: self.detection_latency_us.snapshot(),
-            retry_delay_us: self.retry_delay_us.snapshot(),
-        }
-    }
-}
-
-/// A typed point-in-time snapshot of one site's metrics (the metrics
-/// half of `SiteStatus`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SiteMetrics {
-    /// Messages leaving this site's message manager.
-    pub messages_sent: u64,
-    /// Messages dispatched on this site.
-    pub messages_received: u64,
-    /// Help requests sent.
-    pub help_requests: u64,
-    /// Help requests answered with a frame.
-    pub help_granted: u64,
-    /// Help requests answered with can't-help.
-    pub help_denied: u64,
-    /// Suspicions raised.
-    pub suspicions_raised: u64,
-    /// Suspicions withdrawn.
-    pub suspicions_refuted: u64,
-    /// Zombie messages fenced.
-    pub zombies_fenced: u64,
-    /// Peers declared crashed.
-    pub crashes_declared: u64,
-    /// Frames executed.
-    pub frames_executed: u64,
-    /// Frames re-enqueued with backoff after an infrastructure error.
-    pub frames_retried: u64,
-    /// Frames moved to the dead-letter store.
-    pub frames_quarantined: u64,
-    /// Handler panics caught by the execution engine.
-    pub handler_panics: u64,
-    /// Worker slot threads respawned by the supervisor.
-    pub workers_respawned: u64,
-    /// Programs the watchdog declared stuck.
-    pub programs_stuck: u64,
-    /// Non-migrating reads served from a fresh local replica.
-    pub mem_replica_hits: u64,
-    /// Non-migrating reads that went remote.
-    pub mem_replica_misses: u64,
-    /// Cached replicas dropped on an owner's invalidation.
-    pub mem_invalidations: u64,
-    /// Owner hops chased per remote read/write.
-    pub mem_chase_hops: HistogramSnapshot,
-    /// Replica copies dispatched by this site's coordinator.
-    pub replicas_dispatched: u64,
-    /// Frames whose replicas returned divergent results.
-    pub result_divergence: u64,
-    /// Hedge duplicates fired.
-    pub hedges_fired: u64,
-    /// Hedged frames settled by a fired duplicate.
-    pub hedge_wins: u64,
-    /// Pending time of hedged frames when their duplicate fired (µs).
-    pub hedge_delay_us: HistogramSnapshot,
-    /// Drains started on this site.
-    pub drain_started: u64,
-    /// Drains that ran to completion.
-    pub drain_completed: u64,
-    /// Memory objects relocated to peers during drains.
-    pub drain_objects_relocated: u64,
-    /// Waiting frames relocated to peers during drains.
-    pub drain_frames_relocated: u64,
-    /// Dead letters swept to the successor during drains.
-    pub drain_dead_letters_swept: u64,
-    /// Wall-clock duration of each completed drain (µs).
-    pub drain_duration_us: HistogramSnapshot,
-    /// Incremental (pause-free) checkpoint cuts taken.
-    pub checkpoint_incremental_cuts: u64,
-    /// Shards re-captured because dirty (or never cut).
-    pub checkpoint_incremental_shards_captured: u64,
-    /// Shards whose cached cut was reused unchanged.
-    pub checkpoint_incremental_shards_reused: u64,
-    /// Longest single-shard lock hold per incremental cut (µs).
-    pub checkpoint_incremental_block_us: HistogramSnapshot,
-    /// Per-shard attraction-memory lock contention counts (filled in
-    /// from the memory manager at snapshot time, like
-    /// `backpressure_stalls`).
-    pub mem_shard_contention: Vec<u64>,
-    /// Frames waiting in outbound queues (sampled).
-    pub outbound_queue_depth: u64,
-    /// Peers with a live transport connection (sampled).
-    pub net_peers_connected: u64,
-    /// Transport driver threads, pollers + listener (sampled).
-    pub net_driver_threads: u64,
-    /// Vivaldi coordinate fit error, whole milliseconds (sampled).
-    pub coord_error_ms: u64,
-    /// Sends that hit a full outbound queue and had to wait (transport-
-    /// level; filled in from the transport at snapshot time).
-    pub backpressure_stalls: u64,
-    /// Bus events overwritten by ring wraparound (filled in from the
-    /// site's [`crate::trace::TraceLog`] at snapshot time; 0 when no
-    /// bus is attached). Non-zero means the flight recorder's last-N
-    /// window is lossy.
-    pub bus_dropped: u64,
-    /// Bus events a full subscriber tap failed to receive (filled in
-    /// from the trace bus at snapshot time).
-    pub bus_tap_dropped: u64,
-    /// Whole career: created → executed (µs).
-    pub career_total_us: HistogramSnapshot,
-    /// Dataflow wait: created → executable (µs).
-    pub career_wait_us: HistogramSnapshot,
-    /// Code fetch: executable → ready (µs).
-    pub career_fetch_us: HistogramSnapshot,
-    /// Queue + run: ready → executed (µs).
-    pub career_exec_us: HistogramSnapshot,
-    /// Seal (encode + encrypt + frame) time (µs).
-    pub seal_us: HistogramSnapshot,
-    /// Open (decrypt + verify) time (µs).
-    pub open_us: HistogramSnapshot,
-    /// Per-manager inbound dispatch time (µs), labeled by manager name.
-    pub dispatch_us: Vec<(String, HistogramSnapshot)>,
-    /// Help-request round trip (µs).
-    pub help_rtt_us: HistogramSnapshot,
-    /// Simulated compile duration (µs).
-    pub compile_us: HistogramSnapshot,
-    /// Failure-detector detection latency (µs).
-    pub detection_latency_us: HistogramSnapshot,
-    /// Backoff delay applied before each frame retry (µs).
-    pub retry_delay_us: HistogramSnapshot,
 }
 
 #[cfg(test)]

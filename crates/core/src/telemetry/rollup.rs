@@ -8,7 +8,8 @@
 //! histogram digests merge by element-wise bucket addition, which keeps
 //! quantile estimates exact at bucket granularity.
 
-use crate::telemetry::metrics::{HistogramSnapshot, SiteMetrics, HISTOGRAM_BUCKETS};
+use crate::telemetry::export::{write_header, write_histogram_series};
+use crate::telemetry::metrics::{HistogramSnapshot, MetricKind, SiteMetrics, HISTOGRAM_BUCKETS};
 use parking_lot::Mutex;
 use sdvm_types::SiteId;
 use sdvm_wire::WireMetricsSummary;
@@ -145,11 +146,12 @@ impl ClusterRollup {
 /// bucket-merge estimates, labelled as such in HELP).
 pub fn cluster_prometheus_text(t: &ClusterTotals) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = writeln!(
-        out,
-        "# HELP sdvm_cluster_sites Sites contributing a metrics digest to this rollup."
+    write_header(
+        &mut out,
+        "sdvm_cluster_sites",
+        MetricKind::Gauge,
+        "Sites contributing a metrics digest to this rollup.",
     );
-    let _ = writeln!(out, "# TYPE sdvm_cluster_sites gauge");
     let _ = writeln!(out, "sdvm_cluster_sites {}", t.sites);
     let counters: [(&str, &str, u64); 8] = [
         (
@@ -194,22 +196,24 @@ pub fn cluster_prometheus_text(t: &ClusterTotals) -> String {
         ),
     ];
     for (name, help, v) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
+        write_header(&mut out, name, MetricKind::Counter, help);
         let _ = writeln!(out, "{name} {v}");
     }
-    write_merged_histogram(
-        &mut out,
-        "sdvm_cluster_frame_career_us",
-        "Microframe career time (creation to execution), merged across the cluster.",
-        &t.career_us,
-    );
-    write_merged_histogram(
-        &mut out,
-        "sdvm_cluster_help_rtt_us",
-        "Help request round-trip time, merged across the cluster.",
-        &t.help_rtt_us,
-    );
+    for (name, help, h) in [
+        (
+            "sdvm_cluster_frame_career_us",
+            "Microframe career time (creation to execution), merged across the cluster.",
+            &t.career_us,
+        ),
+        (
+            "sdvm_cluster_help_rtt_us",
+            "Help request round-trip time, merged across the cluster.",
+            &t.help_rtt_us,
+        ),
+    ] {
+        write_header(&mut out, name, MetricKind::Histogram, help);
+        write_histogram_series(&mut out, name, "", h);
+    }
     write_quantiles(
         &mut out,
         "sdvm_cluster_frame_career_quantile_us",
@@ -225,29 +229,9 @@ pub fn cluster_prometheus_text(t: &ClusterTotals) -> String {
     out
 }
 
-/// One unlabeled cluster histogram: cumulative `_bucket{le=...}` rows
-/// over the log2 boundaries, then `_sum` and `_count`.
-fn write_merged_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (i, v) in h.buckets.iter().enumerate() {
-        cumulative += v;
-        if i + 1 == h.buckets.len() {
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        } else {
-            let le = if i == 0 { 0 } else { 1u64 << i };
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        }
-    }
-    let _ = writeln!(out, "{name}_sum {}", h.sum_us);
-    let _ = writeln!(out, "{name}_count {}", h.count);
-}
-
 /// p50/p99/p999 gauges with a `q` label, estimated from merged buckets.
 fn write_quantiles(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
+    write_header(out, name, MetricKind::Gauge, help);
     for (label, p) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
         let _ = writeln!(out, "{name}{{q=\"{label}\"}} {}", h.quantile(p));
     }
@@ -361,5 +345,36 @@ mod tests {
         assert_eq!(d.frames_executed, 3);
         assert_eq!(d.career_sum_us, 900);
         assert_eq!(d.career_buckets, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn cluster_and_site_histograms_share_le_bounds() {
+        // One 1024 µs sample lands in bucket [1024, 2048): both
+        // renderings must bound it by le="2047", with 0 under le="1023".
+        let h = crate::telemetry::Histogram::default();
+        h.observe(1024);
+        let m = SiteMetrics {
+            career_total_us: h.snapshot(),
+            ..Default::default()
+        };
+        let r = ClusterRollup::new();
+        r.record(SiteId(1), digest_of(&m));
+        let site_text = crate::telemetry::prometheus_text(&[(SiteId(1), m)]);
+        let cluster_text = cluster_prometheus_text(&r.totals());
+        let buckets = |text: &str, prefix: &str| -> Vec<(String, u64)> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix(prefix)?.strip_prefix("le=\""))
+                .map(|rest| {
+                    let (le, v) = rest.split_once("\"} ").unwrap();
+                    (le.to_string(), v.parse().unwrap())
+                })
+                .collect()
+        };
+        let site = buckets(&site_text, "sdvm_frame_career_us_bucket{site=\"1\",");
+        let cluster = buckets(&cluster_text, "sdvm_cluster_frame_career_us_bucket{");
+        assert_eq!(site.len(), HISTOGRAM_BUCKETS);
+        assert_eq!(site, cluster);
+        assert!(site.contains(&("1023".to_string(), 0)));
+        assert!(site.contains(&("2047".to_string(), 1)));
     }
 }

@@ -5,7 +5,7 @@
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
-use sdvm_core::telemetry::prom_label_escape;
+use sdvm_core::telemetry::{prom_label_escape, SCALAR_FAMILIES};
 use sdvm_core::{
     cluster_prometheus_text, digest_of, prometheus_text, ClusterRollup, HistogramSnapshot,
     SiteMetrics,
@@ -249,6 +249,27 @@ fn label_escaping_round_trips_hostile_values() {
     assert_eq!(name, "sdvm_test_metric");
     assert_eq!(labels.len(), 1, "escaped value must stay one label");
     assert_eq!(value, "1");
+}
+
+/// The metric table and the exporter cannot drift: the generated scalar
+/// family list plus the two hand-written labelled families is exactly
+/// the per-site family set `prometheus_text` emits, each with the
+/// table's TYPE.
+#[test]
+fn scalar_table_matches_per_site_exposition() {
+    let mut expected: BTreeMap<String, String> = SCALAR_FAMILIES
+        .iter()
+        .map(|f| (f.name.to_string(), f.kind.as_str().to_string()))
+        .collect();
+    assert_eq!(
+        expected.len(),
+        SCALAR_FAMILIES.len(),
+        "a family name appears twice in the table"
+    );
+    expected.insert("sdvm_dispatch_us".to_string(), "histogram".to_string());
+    expected.insert("sdvm_mem_shard_contention".to_string(), "gauge".to_string());
+    let (per_site, _) = full_exposition();
+    assert_eq!(families(&per_site), expected);
 }
 
 /// The golden drift-catcher: the union of families actually emitted by
