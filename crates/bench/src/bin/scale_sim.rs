@@ -2,8 +2,9 @@
 //!
 //! Three questions, answered headless in the discrete-event simulator
 //! (1000 real sockets-and-threads sites do not fit one CI box; the
-//! simulator mirrors the runtime's scheduling, Vivaldi coordinates and
-//! driver-capacity semantics — DESIGN.md §9):
+//! simulator runs the runtime's own queue-order, help-target and
+//! Vivaldi code from `sdvm_types` and models its driver capacity —
+//! DESIGN.md §9):
 //!
 //! 1. **Table-1 shape survives the event-driven driver.** With the
 //!    poller-capacity model switched on (4 modelled drivers per site,

@@ -8,15 +8,14 @@
 //! modulo the server count. All three are implemented and compared in
 //! experiment E8.
 
-use crate::coord::VivaldiState;
 use crate::site::{SiteInner, Task};
 use crate::trace::TraceEvent;
 use parking_lot::Mutex;
 use sdvm_types::{
-    IdAllocStrategy, LoadReport, ManagerId, PhysicalAddr, SdvmError, SdvmResult, SiteDescriptor,
-    SiteId,
+    pick_help_target, Coord, HelpCandidate, IdAllocStrategy, LoadReport, ManagerId, PhysicalAddr,
+    SdvmError, SdvmResult, SiteDescriptor, SiteId, VivaldiState,
 };
-use sdvm_wire::{Payload, SdMessage, WireCoord};
+use sdvm_wire::{Payload, SdMessage};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -129,7 +128,7 @@ struct ClusterState {
     /// traffic that already flows (help requests, direct probes).
     vivaldi: VivaldiState,
     /// Latest gossiped coordinate per peer (heartbeats, probe acks).
-    coords: HashMap<SiteId, WireCoord>,
+    coords: HashMap<SiteId, Coord>,
 }
 
 /// The cluster manager of one site.
@@ -142,7 +141,6 @@ pub struct ClusterManager {
     suspect_timeout: Duration,
     probe_fanout: usize,
     suspicion_quorum: usize,
-    proximity_routing: bool,
 }
 
 impl ClusterManager {
@@ -175,7 +173,6 @@ impl ClusterManager {
             suspect_timeout: config.suspect_timeout,
             probe_fanout: config.probe_fanout,
             suspicion_quorum: config.suspicion_quorum.max(2),
-            proximity_routing: config.proximity_routing,
         }
     }
 
@@ -665,12 +662,12 @@ impl ClusterManager {
 
     /// This site's current coordinate, for piggybacking on heartbeats
     /// and probe traffic.
-    pub fn my_coord(&self) -> WireCoord {
+    pub fn my_coord(&self) -> Coord {
         self.state.lock().vivaldi.coord
     }
 
     /// Record a peer's gossiped coordinate (heartbeat, probe payloads).
-    pub fn note_coord(&self, from: SiteId, coord: Option<WireCoord>) {
+    pub fn note_coord(&self, from: SiteId, coord: Option<Coord>) {
         let Some(c) = coord else { return };
         if !from.is_valid() {
             return;
@@ -701,44 +698,15 @@ impl ClusterManager {
         )
     }
 
-    /// Rank `candidates` by predicted RTT from this site, nearest first
-    /// (ties broken by id for determinism). Returns `false` — leaving
-    /// the order untouched — unless this site's coordinate has
-    /// converged and at least one candidate has gossiped a coordinate;
-    /// callers then fall back to their uniform (pre-v9) selection.
-    /// Disabled wholesale by `SiteConfig::proximity_routing = false`
-    /// (the A/B ablation knob).
+    /// Rank `candidates` nearest first by predicted RTT from this site
+    /// ([`VivaldiState::rank_by_proximity`]). Returns `false`, leaving
+    /// the order untouched, until this site's coordinate has converged
+    /// and a candidate has gossiped one; callers then fall back to their
+    /// uniform (pre-v9) selection.
     pub fn rank_by_proximity(&self, candidates: &mut [SiteId]) -> bool {
-        if !self.proximity_routing {
-            return false;
-        }
         let st = self.state.lock();
-        Self::rank_by_proximity_locked(&st, candidates)
-    }
-
-    fn rank_by_proximity_locked(st: &ClusterState, candidates: &mut [SiteId]) -> bool {
-        if !st.vivaldi.converged() {
-            return false;
-        }
-        if !candidates.iter().any(|s| st.coords.contains_key(s)) {
-            return false;
-        }
-        candidates.sort_by(|a, b| {
-            let da = st
-                .coords
-                .get(a)
-                .map(|c| st.vivaldi.predict_ms(c))
-                .unwrap_or(f64::INFINITY);
-            let db = st
-                .coords
-                .get(b)
-                .map(|c| st.vivaldi.predict_ms(c))
-                .unwrap_or(f64::INFINITY);
-            da.partial_cmp(&db)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
-        true
+        st.vivaldi
+            .rank_by_proximity(candidates, |s| (*s, st.coords.get(s).copied()))
     }
 
     /// Physical address of a logical site.
@@ -856,49 +824,26 @@ impl ClusterManager {
         home
     }
 
-    /// Choose a site to send a help request to: prefer the busiest known
-    /// site (it most probably has spare work). With no load signal, rank
-    /// the candidates by predicted proximity (wire v9) and round-robin
-    /// over the nearest few — a help round trip to a close peer costs a
-    /// fraction of a far one, and its reply arrives while a distant
-    /// peer's would still be in flight. Until the coordinate converges
-    /// this degrades to the original uniform round-robin.
+    /// Choose a site to send a help request to ([`pick_help_target`]):
+    /// the busiest known site by gossiped load, else a rotation over the
+    /// nearest few members, or over all of them until this site's
+    /// coordinate converges.
     pub fn pick_help_target(&self, site: &SiteInner) -> Option<SiteId> {
         let me = site.my_id();
-        let mut st = self.state.lock();
-        let mut candidates: Vec<SiteId> = st
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mut candidates: Vec<HelpCandidate<SiteId>> = st
             .sites
             .keys()
-            .copied()
-            .filter(|&s| s != me && !st.draining.contains(&s))
+            .filter(|&&s| s != me && !st.draining.contains(&s))
+            .map(|&id| HelpCandidate {
+                id,
+                load: st.loads.get(&id).map_or(0, |l| l.busyness()),
+                coord: st.coords.get(&id).copied(),
+            })
             .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable();
-        let busiest = candidates
-            .iter()
-            .copied()
-            .max_by_key(|s| st.loads.get(s).map(|l| l.busyness()).unwrap_or(0));
-        let best = busiest.filter(|s| st.loads.get(s).map(|l| l.busyness()).unwrap_or(0) > 0);
-        Some(match best {
-            Some(s) => s,
-            None => {
-                let pool = if self.proximity_routing
-                    && Self::rank_by_proximity_locked(&st, &mut candidates)
-                {
-                    // Rotate within the nearest few instead of pinning
-                    // the single nearest peer, so one close neighbor
-                    // doesn't absorb every idle site's requests.
-                    candidates.len().min(3)
-                } else {
-                    candidates.len()
-                };
-                let idx = st.rr % pool;
-                st.rr = st.rr.wrapping_add(1);
-                candidates[idx]
-            }
-        })
+        candidates.sort_unstable_by_key(|c| c.id);
+        pick_help_target(&mut candidates, Some(&st.vivaldi), &mut st.rr)
     }
 
     // ---- id allocation (the three concepts of §4) ----

@@ -16,7 +16,7 @@ use crate::telemetry::trace_id_of;
 use crate::thread::ThreadFn;
 use crate::trace::TraceEvent;
 use parking_lot::{Condvar, Mutex};
-use sdvm_types::{ManagerId, Priority, QueuePolicy, SdvmResult};
+use sdvm_types::{ManagerId, QueuePolicy, SdvmResult};
 use sdvm_wire::{Payload, SdMessage, TraceContext};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -84,84 +84,37 @@ pub struct SchedulingManager {
     epoch: std::sync::atomic::AtomicU64,
 }
 
-fn pop_frame(q: &mut VecDeque<Microframe>, policy: QueuePolicy) -> Option<Microframe> {
-    match policy {
-        QueuePolicy::Fifo => q.pop_front(),
-        QueuePolicy::Lifo => q.pop_back(),
-        QueuePolicy::Priority => {
-            let best = q
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, f)| (f.hint.priority, std::cmp::Reverse(*i)))?
-                .0;
-            q.remove(best)
-        }
-    }
-}
-
-fn pop_ready(
-    q: &mut VecDeque<(Microframe, ThreadFn)>,
-    policy: QueuePolicy,
-) -> Option<(Microframe, ThreadFn)> {
-    match policy {
-        QueuePolicy::Fifo => q.pop_front(),
-        QueuePolicy::Lifo => q.pop_back(),
-        QueuePolicy::Priority => {
-            let best = q
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, (f, _))| (f.hint.priority, std::cmp::Reverse(*i)))?
-                .0;
-            q.remove(best)
-        }
-    }
-}
-
 /// Pop a frame to give away on a help request: prefer the executable
 /// queue, fall back to ready frames (dropping the local code pointer).
 /// Sticky frames (e.g. the hidden result frame) never leave their site.
 ///
 /// Candidates are ranked by `score` (locality of their argument objects
 /// relative to the requester — see `MemoryManager::help_score`); the
-/// queue policy only breaks ties, so a frame whose inputs live at the
-/// requester beats the LIFO-top frame whose inputs live here. The
-/// winning score is returned for tracing.
+/// queue policy's order only breaks ties, so a frame whose inputs live
+/// at the requester beats the LIFO-top frame whose inputs live here.
+/// The winning score is returned for tracing.
 fn pop_for_help(
     st: &mut SchedState,
     policy: QueuePolicy,
     score: impl Fn(&Microframe) -> i32,
 ) -> Option<(Microframe, i32)> {
-    // Tiebreak key mirroring the plain pop order: FIFO prefers the
-    // oldest (smallest index), LIFO the newest, Priority the highest
-    // priority then the oldest.
-    fn tiebreak(policy: QueuePolicy, idx: usize, f: &Microframe) -> (Priority, i64) {
-        match policy {
-            QueuePolicy::Fifo => (Priority(0), -(idx as i64)),
-            QueuePolicy::Lifo => (Priority(0), idx as i64),
-            QueuePolicy::Priority => (f.hint.priority, -(idx as i64)),
-        }
+    fn best<'a>(
+        frames: impl Iterator<Item = &'a Microframe>,
+        policy: QueuePolicy,
+        score: &impl Fn(&Microframe) -> i32,
+    ) -> Option<(usize, i32)> {
+        frames
+            .enumerate()
+            .filter(|(_, f)| !f.hint.sticky)
+            .map(|(i, f)| (i, score(f), policy.order_key(i, f.hint.priority)))
+            .max_by_key(|&(_, s, key)| (s, key))
+            .map(|(i, s, _)| (i, s))
     }
-    let best_exec = st
-        .executable
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.hint.sticky)
-        .max_by_key(|(i, f)| (score(f), tiebreak(policy, *i, f)))
-        .map(|(i, f)| (i, score(f)));
-    if let Some((idx, s)) = best_exec {
+    if let Some((idx, s)) = best(st.executable.iter(), policy, &score) {
         return st.executable.remove(idx).map(|f| (f, s));
     }
-    let best_ready = st
-        .ready
-        .iter()
-        .enumerate()
-        .filter(|(_, (f, _))| !f.hint.sticky)
-        .max_by_key(|(i, (f, _))| (score(f), tiebreak(policy, *i, f)))
-        .map(|(i, (f, _))| (i, score(f)));
-    if let Some((idx, s)) = best_ready {
-        return st.ready.remove(idx).map(|(f, _)| (f, s));
-    }
-    None
+    let (idx, s) = best(st.ready.iter().map(|(f, _)| f), policy, &score)?;
+    st.ready.remove(idx).map(|(f, _)| (f, s))
 }
 
 impl SchedulingManager {
@@ -391,7 +344,10 @@ impl SchedulingManager {
             {
                 let mut st = self.state.lock();
                 st.promote_due(Instant::now());
-                if let Some(pair) = pop_ready(&mut st.ready, self.local_policy) {
+                if let Some(pair) = self
+                    .local_policy
+                    .pop(&mut st.ready, |(f, _)| f.hint.priority)
+                {
                     if st.paused.contains(&pair.0.program()) {
                         st.parked.push(pair.0);
                         continue;
@@ -399,7 +355,10 @@ impl SchedulingManager {
                     return Some(pair);
                 }
                 // 2. Executable frame → obtain code (may block remotely).
-                if let Some(frame) = pop_frame(&mut st.executable, self.local_policy) {
+                if let Some(frame) = self
+                    .local_policy
+                    .pop(&mut st.executable, |f| f.hint.priority)
+                {
                     if st.paused.contains(&frame.program()) {
                         st.parked.push(frame);
                         continue;
@@ -680,47 +639,6 @@ mod tests {
 
     fn queue(frames: Vec<Microframe>) -> VecDeque<Microframe> {
         frames.into_iter().collect()
-    }
-
-    #[test]
-    fn fifo_pops_oldest() {
-        let mut q = queue(vec![mk(1, 0, false), mk(2, 0, false), mk(3, 0, false)]);
-        assert_eq!(pop_frame(&mut q, QueuePolicy::Fifo).unwrap().id.local, 1);
-        assert_eq!(pop_frame(&mut q, QueuePolicy::Fifo).unwrap().id.local, 2);
-    }
-
-    #[test]
-    fn lifo_pops_newest() {
-        let mut q = queue(vec![mk(1, 0, false), mk(2, 0, false), mk(3, 0, false)]);
-        assert_eq!(pop_frame(&mut q, QueuePolicy::Lifo).unwrap().id.local, 3);
-        assert_eq!(pop_frame(&mut q, QueuePolicy::Lifo).unwrap().id.local, 2);
-    }
-
-    #[test]
-    fn priority_pops_highest_then_fifo_among_equals() {
-        let mut q = queue(vec![
-            mk(1, 5, false),
-            mk(2, 9, false),
-            mk(3, 9, false),
-            mk(4, 1, false),
-        ]);
-        assert_eq!(
-            pop_frame(&mut q, QueuePolicy::Priority).unwrap().id.local,
-            2
-        );
-        assert_eq!(
-            pop_frame(&mut q, QueuePolicy::Priority).unwrap().id.local,
-            3
-        );
-        assert_eq!(
-            pop_frame(&mut q, QueuePolicy::Priority).unwrap().id.local,
-            1
-        );
-        assert_eq!(
-            pop_frame(&mut q, QueuePolicy::Priority).unwrap().id.local,
-            4
-        );
-        assert!(pop_frame(&mut q, QueuePolicy::Priority).is_none());
     }
 
     #[test]

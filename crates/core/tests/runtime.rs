@@ -118,6 +118,9 @@ fn career_of_microframe_matches_figure5() {
         InProcessCluster::with_configs(vec![SiteConfig::default()], Some(trace.clone())).unwrap();
     let handle = launch_square_sum(&cluster, 0, 2);
     handle.wait(WAIT).unwrap();
+    // Stopping the site joins its workers, so every `FrameExecuted`
+    // (emitted after the frame's sends) is in the trace before we read.
+    drop(cluster);
     // Find a square frame (2 slots) and check its lifecycle order.
     let created = trace.filter(|e| matches!(e, TraceEvent::FrameCreated { slots: 2, .. }));
     assert!(!created.is_empty());

@@ -1,11 +1,10 @@
 //! The simulation engine.
 
-use crate::coords::SimVivaldi;
 use crate::event::{Event, EventQueue};
 use crate::metrics::SimMetrics;
 use crate::model::SimConfig;
 use sdvm_cdag::{Cdag, CdagAnalysis};
-use sdvm_types::QueuePolicy;
+use sdvm_types::{pick_help_target, HelpCandidate, VivaldiState};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Wire-size estimate of a migrating microframe (id, thread pointer,
@@ -75,7 +74,7 @@ struct SiteState {
     driver_free_at: f64,
     /// This site's Vivaldi coordinate, learned from help round-trips
     /// (the sim analogue of RTTs piggybacked on probes/heartbeats).
-    vivaldi: SimVivaldi,
+    vivaldi: VivaldiState,
     /// When the in-flight help request left, and to whom — one is
     /// outstanding at a time (`outstanding_help`).
     help_sent_at: f64,
@@ -139,7 +138,7 @@ impl Simulation {
                 sleep_started: 0.0,
                 slept: 0.0,
                 driver_free_at: 0.0,
-                vivaldi: SimVivaldi::default(),
+                vivaldi: VivaldiState::default(),
                 help_sent_at: 0.0,
                 help_target: 0,
             })
@@ -219,16 +218,7 @@ impl Simulation {
         }
         if std::env::var("SDVM_SIM_DEBUG_COORDS").is_ok() {
             for (i, s) in self.sites.iter().enumerate() {
-                eprintln!(
-                    "site {i}: samples {} err {:.3} coord ({:.5},{:.5},{:.5}) h {:.5} conv {}",
-                    s.vivaldi.samples,
-                    s.vivaldi.err,
-                    s.vivaldi.coord.x,
-                    s.vivaldi.coord.y,
-                    s.vivaldi.coord.z,
-                    s.vivaldi.coord.h,
-                    s.vivaldi.converged()
-                );
+                eprintln!("site {i}: {:?} conv {}", s.vivaldi, s.vivaldi.converged());
             }
         }
         self.completed = self.done == total;
@@ -362,8 +352,9 @@ impl Simulation {
     }
 
     /// A help response (grant or can't-help) just arrived: the
-    /// round-trip time is a latency sample for this site's Vivaldi
-    /// coordinate, exactly as the runtime samples probe/help RTTs.
+    /// round-trip time, in milliseconds, is a sample for this site's
+    /// Vivaldi coordinate — the runtime's update rule, fed the way the
+    /// runtime feeds it probe/help RTTs.
     fn note_help_rtt(&mut self, site: usize) {
         if !self.sites[site].outstanding_help {
             return;
@@ -374,10 +365,8 @@ impl Simulation {
             return;
         }
         self.metrics.help_rtt.push(rtt);
-        let (pc, pe) = (self.sites[peer].vivaldi.coord, self.sites[peer].vivaldi.err);
-        // Deterministic tie-break seed: the event counter never repeats.
-        let seed = ((site as u64) << 32) ^ (peer as u64) ^ self.metrics.events;
-        self.sites[site].vivaldi.observe(&pc, pe, rtt, seed);
+        let pc = self.sites[peer].vivaldi.coord;
+        self.sites[site].vivaldi.observe(&pc, rtt * 1e3);
     }
 
     fn handle(&mut self, ev: Event) {
@@ -457,7 +446,9 @@ impl Simulation {
             && !self.sites[site].cpu_busy
             && self.sites[site].cpu_queue.is_empty()
         {
-            let Some(node) = self.pop_queue(site, self.cfg.local_policy) else {
+            let nodes = &self.nodes;
+            let queue = &mut self.sites[site].queue;
+            let Some(node) = self.cfg.local_policy.pop(queue, |&n| nodes[n].priority) else {
                 break;
             };
             self.open_task(site, node);
@@ -472,22 +463,6 @@ impl Simulation {
             // More work queued than this site can take: wake a sleeper
             // ("if a fast execution is needed, all sites get activated").
             self.wake_a_sleeper(site);
-        }
-    }
-
-    fn pop_queue(&mut self, site: usize, policy: QueuePolicy) -> Option<usize> {
-        let q = &mut self.sites[site].queue;
-        match policy {
-            QueuePolicy::Fifo => q.pop_front(),
-            QueuePolicy::Lifo => q.pop_back(),
-            QueuePolicy::Priority => {
-                let best = q
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, &n)| (self.nodes[n].priority, std::cmp::Reverse(*i)))?
-                    .0;
-                q.remove(best)
-            }
         }
     }
 
@@ -668,43 +643,27 @@ impl Simulation {
         if !s.queue.is_empty() || s.open >= self.cfg.slots {
             return; // got work meanwhile
         }
-        // Choose the busiest (deepest-queued) other site; when nobody is
-        // known to have spare work, rotate — uniformly, or (with
-        // proximity routing on and a converged coordinate) within the
-        // nearest few candidates, mirroring the runtime's
-        // `pick_help_target`.
+        // Ask whom the runtime would ask (`sdvm_types::pick_help_target`),
+        // with exact queue lengths standing in for its gossiped load.
         let me = site;
-        let mut candidates: Vec<usize> = (0..self.sites.len())
+        let mut candidates: Vec<HelpCandidate<usize>> = (0..self.sites.len())
             .filter(|&i| i != me && self.sites[i].alive && self.sites[i].accepting)
+            .map(|i| HelpCandidate {
+                id: i,
+                load: self.sites[i].queue.len() as u64,
+                coord: Some(self.sites[i].vivaldi.coord),
+            })
             .collect();
-        if candidates.is_empty() {
+        let vivaldi = &self.sites[me].vivaldi;
+        let mut rr = self.sites[me].rr;
+        let Some(target) = pick_help_target(
+            &mut candidates,
+            self.cfg.proximity_routing.then_some(vivaldi),
+            &mut rr,
+        ) else {
             return;
-        }
-        let busiest = candidates
-            .iter()
-            .copied()
-            .max_by_key(|&i| self.sites[i].queue.len())
-            .expect("non-empty");
-        let target = if self.sites[busiest].queue.is_empty() {
-            let pool = if self.cfg.proximity_routing && self.sites[me].vivaldi.converged() {
-                let my_v = self.sites[me].vivaldi.clone();
-                candidates.sort_by(|&a, &b| {
-                    let da = my_v.coord.predict(&self.sites[a].vivaldi.coord);
-                    let db = my_v.coord.predict(&self.sites[b].vivaldi.coord);
-                    da.partial_cmp(&db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                candidates.len().min(3)
-            } else {
-                candidates.len()
-            };
-            let rr = self.sites[me].rr;
-            self.sites[me].rr = rr.wrapping_add(1);
-            candidates[rr % pool]
-        } else {
-            busiest
         };
+        self.sites[me].rr = rr;
         self.sites[me].outstanding_help = true;
         self.sites[me].help_sent_at = self.now;
         self.sites[me].help_target = target;
@@ -724,8 +683,12 @@ impl Simulation {
             && self.sites[site].accepting
             && !self.sites[site].queue.is_empty();
         if can_give {
+            let nodes = &self.nodes;
+            let queue = &mut self.sites[site].queue;
             let node = self
-                .pop_queue(site, self.cfg.help_policy)
+                .cfg
+                .help_policy
+                .pop(queue, |&n| nodes[n].priority)
                 .expect("queue checked non-empty");
             self.metrics.help_granted += 1;
             self.metrics.migrations += 1;

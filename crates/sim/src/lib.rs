@@ -22,18 +22,22 @@
 //!   times; crashes lose in-progress work, which re-executes on the
 //!   buddy after a detection delay (the crash-management model).
 //!
-//! Virtual time is `f64` seconds; the engine is fully deterministic.
+//! The queue pop order, the help-target choice and the Vivaldi
+//! coordinates are not re-implemented here: the engine calls the same
+//! `sdvm_types` code the runtime does ([`sdvm_types::QueuePolicy::pop`],
+//! [`sdvm_types::pick_help_target`], [`sdvm_types::VivaldiState`]).
+//!
+//! Virtual time is `f64` seconds (coordinates take milliseconds, like the
+//! runtime's); the engine is fully deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coords;
 pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod model;
 
-pub use coords::{SimCoord, SimVivaldi};
 pub use engine::Simulation;
 pub use metrics::SimMetrics;
 pub use model::{NetworkModel, PowerModel, SimConfig, SimSite, TaskCostModel};

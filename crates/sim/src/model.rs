@@ -197,9 +197,9 @@ pub struct SimConfig {
     /// Off by default: large runs produce many intervals.
     pub record_timeline: bool,
     /// Rank help targets by Vivaldi-predicted proximity once each
-    /// site's coordinate converges (mirrors the runtime's
-    /// `SiteConfig::proximity_routing`). Off by default so the older
-    /// flat-network experiments keep their uniform selection.
+    /// site's coordinate converges, as the runtime always does. Off by
+    /// default so the older flat-network experiments keep their uniform
+    /// selection; `scale_sim` runs both arms.
     pub proximity_routing: bool,
     /// Modelled transport-driver pollers per site: the fixed thread
     /// pool of the event-driven socket driver. Message handling at a

@@ -1,6 +1,7 @@
-//! Core vocabulary of the SDVM: identifiers, addresses, values, errors and
-//! the configuration enums shared by the runtime (`sdvm-core`) and the
-//! discrete-event simulator (`sdvm-sim`).
+//! Core vocabulary of the SDVM: identifiers, addresses, values, errors,
+//! and the configuration enums and clock-free policies (queue order,
+//! help targeting, Vivaldi coordinates) shared by the runtime
+//! (`sdvm-core`) and the discrete-event simulator (`sdvm-sim`).
 //!
 //! The SDVM (Self Distributing Virtual Machine, Haase/Eschmann/Waldschmidt,
 //! IPPS 2005) connects *sites* (machines running the SDVM daemon) into one
@@ -11,12 +12,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod coord;
 pub mod error;
 pub mod ids;
 pub mod info;
 pub mod policy;
 pub mod value;
 
+pub use coord::{Coord, VivaldiState};
 pub use error::{SdvmError, SdvmResult};
 pub use ids::{
     FileHandle, GlobalAddress, ManagerId, MicrothreadId, PhysicalAddr, PlatformId, ProgramId,
@@ -24,7 +27,7 @@ pub use ids::{
 };
 pub use info::{LoadReport, SiteDescriptor};
 pub use policy::{
-    FailurePolicy, IdAllocStrategy, Priority, QueuePolicy, ReplicaSelector, ReplicationPolicy,
-    SchedulingHint,
+    pick_help_target, FailurePolicy, HelpCandidate, IdAllocStrategy, Priority, QueuePolicy,
+    ReplicaSelector, ReplicationPolicy, SchedulingHint,
 };
 pub use value::Value;

@@ -8,9 +8,9 @@
 
 use bytes::{Bytes, BytesMut};
 use sdvm_types::{
-    FileHandle, GlobalAddress, LoadReport, ManagerId, MicrothreadId, PhysicalAddr, PlatformId,
-    Priority, ProgramId, QueuePolicy, ReplicaSelector, ReplicationPolicy, SchedulingHint,
-    SdvmError, SdvmResult, SiteDescriptor, SiteId, Value,
+    Coord, FileHandle, GlobalAddress, LoadReport, ManagerId, MicrothreadId, PhysicalAddr,
+    PlatformId, Priority, ProgramId, QueuePolicy, ReplicaSelector, ReplicationPolicy,
+    SchedulingHint, SdvmError, SdvmResult, SiteDescriptor, SiteId, Value,
 };
 
 /// Sanity bound on decoded collection lengths: protects against
@@ -554,6 +554,27 @@ impl Decode for LoadReport {
             programs: u32::decode(r)?,
             memory_bytes: r.get_varint()?,
             epoch: r.get_varint()?,
+        })
+    }
+}
+
+impl Encode for Coord {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_f64(self.x);
+        w.put_f64(self.y);
+        w.put_f64(self.z);
+        w.put_f64(self.h);
+        w.put_f64(self.err);
+    }
+}
+impl Decode for Coord {
+    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
+        Ok(Coord {
+            x: r.get_f64()?,
+            y: r.get_f64()?,
+            z: r.get_f64()?,
+            h: r.get_f64()?,
+            err: r.get_f64()?,
         })
     }
 }

@@ -30,4 +30,4 @@ pub use framing::{
     FRAME_PREFIX_LEN, MAX_FRAME_LEN,
 };
 pub use message::{SdMessage, TraceContext, WIRE_VERSION};
-pub use payload::{Payload, WireCoord, WireFrame, WireMemObject, WireMetricsSummary, WireSend};
+pub use payload::{Payload, WireFrame, WireMemObject, WireMetricsSummary, WireSend};

@@ -8,8 +8,8 @@
 use crate::codec::{Decode, Encode, WireReader, WireWriter};
 use bytes::Bytes;
 use sdvm_types::{
-    FileHandle, GlobalAddress, LoadReport, MicrothreadId, PlatformId, ProgramId, ReplicationPolicy,
-    SchedulingHint, SdvmError, SdvmResult, SiteDescriptor, SiteId, Value,
+    Coord, FileHandle, GlobalAddress, LoadReport, MicrothreadId, PlatformId, ProgramId,
+    ReplicationPolicy, SchedulingHint, SdvmError, SdvmResult, SiteDescriptor, SiteId, Value,
 };
 
 /// Serialized microframe: the unit shipped by help replies, relocation at
@@ -207,72 +207,6 @@ impl Decode for WireMetricsSummary {
     }
 }
 
-/// Vivaldi-style network coordinate (wire v9): a point in a 3-D
-/// Euclidean space plus a non-Euclidean *height* modelling the
-/// access-link delay, as in the Vivaldi paper. Sites gossip their
-/// coordinate on heartbeat and probe traffic; any receiver can then
-/// predict the RTT to a site it never measured as
-/// `|xa - xb| + ha + hb` (milliseconds). `err` is the sender's own
-/// confidence (relative fit error, 0 = perfect, starts at 1) so
-/// receivers can weigh how much to trust the prediction.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct WireCoord {
-    /// Euclidean component, milliseconds.
-    pub x: f64,
-    /// Euclidean component, milliseconds.
-    pub y: f64,
-    /// Euclidean component, milliseconds.
-    pub z: f64,
-    /// Height (access-link delay), milliseconds, always >= 0.
-    pub h: f64,
-    /// Relative fit error in [0, 1+]; 1.0 = no confidence yet.
-    pub err: f64,
-}
-
-impl WireCoord {
-    /// The origin with no confidence: every site starts here.
-    pub fn origin() -> Self {
-        WireCoord {
-            x: 0.0,
-            y: 0.0,
-            z: 0.0,
-            h: 0.0,
-            err: 1.0,
-        }
-    }
-
-    /// Predicted RTT between two coordinates, in milliseconds:
-    /// Euclidean distance plus both heights.
-    pub fn predicted_rtt_ms(&self, other: &WireCoord) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt() + self.h + other.h
-    }
-}
-
-impl Encode for WireCoord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-        w.put_f64(self.z);
-        w.put_f64(self.h);
-        w.put_f64(self.err);
-    }
-}
-
-impl Decode for WireCoord {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(WireCoord {
-            x: r.get_f64()?,
-            y: r.get_f64()?,
-            z: r.get_f64()?,
-            h: r.get_f64()?,
-            err: r.get_f64()?,
-        })
-    }
-}
-
 macro_rules! payloads {
     (
         $(
@@ -360,7 +294,7 @@ payloads! {
     /// Periodic liveness + load gossip. `coord` (wire v9) piggybacks
     /// the sender's Vivaldi network coordinate so receivers can rank
     /// peers by predicted proximity without extra probe traffic.
-    6 Heartbeat { load: LoadReport, coord: Option<WireCoord> },
+    6 Heartbeat { load: LoadReport, coord: Option<Coord> },
     /// Request the full cluster list (new sites, recovery).
     7 ClusterListRequest {},
     /// The full cluster list.
@@ -389,11 +323,11 @@ payloads! {
     /// Indirect probe: ask the receiver to ping `target` on the sender's
     /// behalf (the sender cannot reach it, or wants a second opinion).
     /// `coord` (wire v9) piggybacks the requester's Vivaldi coordinate.
-    14 ProbeRequest { target: SiteId, coord: Option<WireCoord> },
+    14 ProbeRequest { target: SiteId, coord: Option<Coord> },
     /// Indirect probe succeeded (or the sender has fresh first-hand
     /// evidence): `target` is alive at `incarnation`. `coord` (wire v9)
     /// piggybacks the prober's Vivaldi coordinate.
-    15 ProbeAck { target: SiteId, incarnation: u64, coord: Option<WireCoord> },
+    15 ProbeAck { target: SiteId, incarnation: u64, coord: Option<Coord> },
     /// Fencing notice sent to a zombie: "the cluster declared incarnation
     /// `incarnation` of you dead". The zombie rejoins by re-announcing
     /// itself with a higher incarnation.
@@ -672,7 +606,7 @@ mod tests {
                     epoch: 3,
                     ..Default::default()
                 },
-                coord: Some(WireCoord {
+                coord: Some(Coord {
                     x: 1.25,
                     y: -0.5,
                     z: 3.0,
@@ -708,7 +642,7 @@ mod tests {
             Payload::ProbeAck {
                 target: SiteId(4),
                 incarnation: 3,
-                coord: Some(WireCoord::origin()),
+                coord: Some(Coord::origin()),
             },
             Payload::DeathNotice { incarnation: 2 },
             Payload::HelpRequest {
@@ -976,24 +910,6 @@ mod tests {
         // Build a few payloads of each family and check tag uniqueness by
         // decoding garbage tags fails.
         assert!(Payload::decode_from_slice(&[200, 1]).is_err());
-    }
-
-    #[test]
-    fn coord_predicted_rtt_is_distance_plus_heights() {
-        let a = WireCoord {
-            x: 3.0,
-            y: 0.0,
-            z: 4.0,
-            h: 0.5,
-            err: 0.2,
-        };
-        let b = WireCoord {
-            h: 0.25,
-            ..WireCoord::origin()
-        };
-        // |(3,0,4)| = 5, plus both heights.
-        assert!((a.predicted_rtt_ms(&b) - 5.75).abs() < 1e-12);
-        assert!((b.predicted_rtt_ms(&a) - 5.75).abs() < 1e-12);
     }
 
     #[test]
