@@ -2,7 +2,8 @@
 //!
 //! Measures the v2 hot-path primitives in isolation — ChaCha20
 //! keystream XOR (wide 4-block path), HMAC-SHA-256 with precomputed
-//! ipad/opad midstates, and whole-record seal/open — and writes
+//! ipad/opad midstates, whole-record seal/open, and the amortization a
+//! batch record buys over per-record sealing — and writes
 //! `BENCH_crypto.json` into the working directory. These are the
 //! numbers the batch-sealed record design trades against: per-record
 //! cost ≈ keystream setup + MAC, so batching N records pays one of each.
@@ -54,7 +55,7 @@ fn main() {
     // ChaCha20 keystream XOR throughput.
     let key = ChaChaKey::new(&[7u8; 32]);
     let nonce = [9u8; 12];
-    for size in [64usize, 256, 1 << 20] {
+    for size in [64usize, 256, 1024, 16384, 1 << 20] {
         let mut buf = vec![0xa5u8; size];
         let ns = measure(|| key.xor(&nonce, 1, black_box(&mut buf)));
         rows.push(Row {
@@ -110,6 +111,33 @@ fn main() {
             mib_per_sec: mib_per_sec(size, ns),
         });
     }
+
+    // Batch amortization: one 64-record run sealed as a single unit vs
+    // 64 per-record seals of the same total payload.
+    const RECORDS: usize = 64;
+    const RECORD_LEN: usize = 256;
+    let run = vec![0xabu8; RECORDS * RECORD_LEN];
+    let mut tx = SecureChannel::new(&[3u8; 32]);
+    let ns = measure(|| {
+        black_box(tx.seal(black_box(&run)));
+    });
+    rows.push(Row {
+        name: format!("batch/one_record_x{RECORDS}"),
+        ns_per_call: ns,
+        mib_per_sec: mib_per_sec(run.len(), ns),
+    });
+    let record = vec![0xabu8; RECORD_LEN];
+    let mut tx = SecureChannel::new(&[3u8; 32]);
+    let ns = measure(|| {
+        for _ in 0..RECORDS {
+            black_box(tx.seal(black_box(&record)));
+        }
+    });
+    rows.push(Row {
+        name: format!("batch/per_record_x{RECORDS}"),
+        ns_per_call: ns,
+        mib_per_sec: mib_per_sec(run.len(), ns),
+    });
 
     for r in &rows {
         println!(

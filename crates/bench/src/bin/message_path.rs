@@ -1,26 +1,27 @@
 //! Outbound message-path throughput, machine-readable.
 //!
-//! Measures the encode→seal→frame pipeline (old three-copy layout vs
-//! the zero-copy single-buffer layout) for plain and encrypted
-//! envelopes, fanning out to 1 and 8 peers, plus a real end-to-end TCP
-//! fan-out through the per-peer batched writer pipeline. Writes
-//! `BENCH_message_path.json` into the working directory.
+//! Times the send path the runtime ships, called on a signed-on
+//! `InProcessCluster` site: `SecurityManager::seal_frame` (encode, seal
+//! and frame in one buffer) for plain and password-protected sites,
+//! fanning out to 1 and 8 peers; the drain-sealed path
+//! (`encode_plain` per message plus one `seal_batch_record` per run of
+//! `BATCH` records); and a real end-to-end TCP fan-out through the
+//! per-peer batched writer pipeline. Writes `BENCH_message_path.json`
+//! into the working directory.
 //!
 //! ```text
 //! cargo run --release -p sdvm-bench --bin message_path
 //! ```
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use sdvm_bench::rule;
-use sdvm_crypto::{KeyStore, NONCE_PREFIX_LEN};
+use sdvm_core::{InProcessCluster, SiteConfig};
 use sdvm_net::{TcpTransport, Transport};
 use sdvm_types::{FileHandle, ManagerId, SiteId};
-use sdvm_wire::{begin_frame, finish_frame, frame_bytes, Payload, SdMessage, WireWriter};
+use sdvm_wire::{Payload, SdMessage};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-const TAG_PLAIN: u8 = 0;
-const TAG_PEER: u8 = 1;
-const TAG_BATCH: u8 = 3;
 const PAYLOAD_LEN: usize = 256;
 /// Records per batch-sealed frame: the writer's drain cap.
 const BATCH: usize = 64;
@@ -41,80 +42,6 @@ fn sample_msg(dst: u32) -> SdMessage {
             data: Bytes::from(vec![0xabu8; PAYLOAD_LEN]),
         },
     )
-}
-
-fn old_plain(msg: &SdMessage) -> Bytes {
-    let plain = msg.to_bytes();
-    let mut env = Vec::with_capacity(1 + plain.len());
-    env.push(TAG_PLAIN);
-    env.extend_from_slice(&plain);
-    frame_bytes(&env).expect("frame")
-}
-
-fn new_plain(cap: &mut usize, msg: &SdMessage) -> Bytes {
-    let mut buf = begin_frame(*cap);
-    buf.put_u8(TAG_PLAIN);
-    let mut w = WireWriter::from_buf(buf);
-    msg.encode_into(&mut w);
-    let frame = finish_frame(w.into_buf()).expect("frame");
-    *cap = frame.len() + 32;
-    frame
-}
-
-fn old_sealed(ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
-    let plain = msg.to_bytes();
-    let sealed = ks.seal_for(dst, &plain);
-    let mut env = Vec::with_capacity(5 + sealed.len());
-    env.push(TAG_PEER);
-    env.extend_from_slice(&1u32.to_le_bytes());
-    env.extend_from_slice(&sealed);
-    frame_bytes(&env).expect("frame")
-}
-
-fn new_sealed(cap: &mut usize, ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
-    let mut buf = begin_frame(*cap);
-    buf.put_u8(TAG_PEER);
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    let seal_start = buf.len();
-    buf.resize(seal_start + NONCE_PREFIX_LEN, 0);
-    let mut w = WireWriter::from_buf(buf);
-    msg.encode_into(&mut w);
-    let mut buf = w.into_buf();
-    ks.seal_for_in_place(dst, &mut buf, seal_start);
-    let frame = finish_frame(buf).expect("frame");
-    *cap = frame.len() + 32;
-    frame
-}
-
-/// Serialize one message alone — the up-front cost on the drain-sealed
-/// send path (`SecurityManager::encode_plain`).
-fn encode_body(cap: &mut usize, msg: &SdMessage) -> Bytes {
-    let mut w = WireWriter::from_buf(BytesMut::with_capacity(*cap));
-    msg.encode_into(&mut w);
-    let buf = w.into_buf();
-    *cap = buf.len() + 32;
-    buf.freeze()
-}
-
-/// Seal a run of pre-encoded records as one batch record (wire v5):
-/// one nonce, one keystream setup, one MAC for the whole run — the
-/// writer-drain path's amortized frame shape.
-fn batch_sealed(cap: &mut usize, ks: &mut KeyStore, dst: u32, bodies: &[Bytes]) -> Bytes {
-    let mut buf = begin_frame(*cap);
-    buf.put_u8(TAG_BATCH);
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    let seal_start = buf.len();
-    buf.resize(seal_start + NONCE_PREFIX_LEN, 0);
-    let mut w = WireWriter::from_buf(buf);
-    w.put_varint(bodies.len() as u64);
-    for b in bodies {
-        w.put_bytes(b);
-    }
-    let mut buf = w.into_buf();
-    ks.seal_for_in_place(dst, &mut buf, seal_start);
-    let frame = finish_frame(buf).expect("frame");
-    *cap = frame.len() + 32;
-    frame
 }
 
 struct Result {
@@ -149,71 +76,48 @@ fn measure(name: &str, per_step: u64, frame_len: u64, mut step: impl FnMut()) ->
     }
 }
 
-fn bench_paths(results: &mut Vec<Result>) {
+fn bench_paths(plain: &InProcessCluster, sealed: &InProcessCluster, results: &mut Vec<Result>) {
+    let plain = plain.site(0).inner();
+    let sealed = sealed.site(0).inner();
     for peers in [1u32, 8] {
-        let msgs: Vec<SdMessage> = (1..=peers).map(|d| sample_msg(d + 1)).collect();
-        let frame_len = old_plain(&msgs[0]).len() as u64;
+        let dsts: Vec<SiteId> = (2..peers + 2).map(SiteId).collect();
+        let msgs: Vec<SdMessage> = dsts.iter().map(|d| sample_msg(d.0)).collect();
+        let frame_len = plain
+            .security
+            .seal_frame(plain, dsts[0], &msgs[0])
+            .expect("frame")
+            .len() as u64;
 
-        results.push(measure(
-            &format!("plain/old/{peers}peer"),
-            peers as u64,
-            frame_len,
-            || {
-                for m in &msgs {
-                    std::hint::black_box(old_plain(m));
-                }
-            },
-        ));
-        let mut cap = 128usize;
-        results.push(measure(
-            &format!("plain/new/{peers}peer"),
-            peers as u64,
-            frame_len,
-            || {
-                for m in &msgs {
-                    std::hint::black_box(new_plain(&mut cap, m));
-                }
-            },
-        ));
+        for (kind, site) in [("plain", plain), ("encrypted", sealed)] {
+            results.push(measure(
+                &format!("{kind}/{peers}peer"),
+                peers as u64,
+                frame_len,
+                || {
+                    for (d, m) in dsts.iter().zip(&msgs) {
+                        black_box(site.security.seal_frame(site, *d, m).expect("seal"));
+                    }
+                },
+            ));
+        }
 
-        let mut ks = KeyStore::from_password(1, "bench-pw");
-        results.push(measure(
-            &format!("encrypted/old/{peers}peer"),
-            peers as u64,
-            frame_len,
-            || {
-                for (i, m) in msgs.iter().enumerate() {
-                    std::hint::black_box(old_sealed(&mut ks, i as u32 + 2, m));
-                }
-            },
-        ));
-        let mut ks = KeyStore::from_password(1, "bench-pw");
-        let mut cap = 128usize;
-        results.push(measure(
-            &format!("encrypted/new/{peers}peer"),
-            peers as u64,
-            frame_len,
-            || {
-                for (i, m) in msgs.iter().enumerate() {
-                    std::hint::black_box(new_sealed(&mut cap, &mut ks, i as u32 + 2, m));
-                }
-            },
-        ));
-
-        // Batch-sealed (wire v5): per message, one plain encode plus a
-        // 1/BATCH share of the batch's nonce + keystream + MAC.
-        let mut ks = KeyStore::from_password(1, "bench-pw");
-        let mut body_cap = 128usize;
-        let mut cap = 128usize;
+        // Drain-sealed: per message, one plain encode plus a 1/BATCH
+        // share of the batch's nonce + keystream + MAC.
         results.push(measure(
             &format!("encrypted/batched/{peers}peer"),
             (peers as usize * BATCH) as u64,
             frame_len,
             || {
-                for (i, m) in msgs.iter().enumerate() {
-                    let bodies: Vec<Bytes> =
-                        (0..BATCH).map(|_| encode_body(&mut body_cap, m)).collect();
-                    std::hint::black_box(batch_sealed(&mut cap, &mut ks, i as u32 + 2, &bodies));
+                for (d, m) in dsts.iter().zip(&msgs) {
+                    let bodies: Vec<Bytes> = (0..BATCH)
+                        .map(|_| sealed.security.encode_plain(m))
+                        .collect();
+                    black_box(
+                        sealed
+                            .security
+                            .seal_batch_record(sealed, d.0, &bodies)
+                            .expect("seal batch"),
+                    );
                 }
             },
         ));
@@ -222,26 +126,26 @@ fn bench_paths(results: &mut Vec<Result>) {
 
 /// End-to-end: one sender spraying sealed frames round-robin over 8 TCP
 /// peers through the batched per-peer writer pipeline.
-fn bench_tcp_fanout(results: &mut Vec<Result>) {
+fn bench_tcp_fanout(sealed: &InProcessCluster, results: &mut Vec<Result>) {
     let sender = TcpTransport::bind("127.0.0.1:0").expect("bind sender");
     let receivers: Vec<_> = (0..8)
         .map(|_| TcpTransport::bind("127.0.0.1:0").expect("bind receiver"))
         .collect();
-    let mut ks = KeyStore::from_password(1, "bench-pw");
-    let msg = sample_msg(2);
-    let mut cap = 128usize;
-    let frame = new_sealed(&mut cap, &mut ks, 2, &msg);
+    let site = sealed.site(0).inner();
+    let frame = site
+        .security
+        .seal_frame(site, SiteId(2), &sample_msg(2))
+        .expect("seal");
     let frame_len = frame.len() as u64;
 
     let n_per_peer = 4000u64;
     let start = Instant::now();
-    for i in 0..n_per_peer {
+    for _ in 0..n_per_peer {
         for r in &receivers {
             // Frames are cheaply cloneable; per-iteration seal would
             // measure crypto again, this measures the transport.
             sender.send(&r.local_addr(), frame.clone()).expect("send");
         }
-        let _ = i;
     }
     // Wait until every receiver saw everything.
     let mut received = 0u64;
@@ -256,7 +160,7 @@ fn bench_tcp_fanout(results: &mut Vec<Result>) {
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(received, n_per_peer * 8, "all frames must arrive");
     results.push(Result {
-        name: "tcp_fanout/new/8peer".into(),
+        name: "tcp_fanout/8peer".into(),
         msgs_per_sec: received as f64 / secs,
         mib_per_sec: received as f64 * frame_len as f64 / secs / (1024.0 * 1024.0),
         ns_per_msg: secs * 1e9 / received as f64,
@@ -268,11 +172,14 @@ fn bench_tcp_fanout(results: &mut Vec<Result>) {
 }
 
 fn main() {
-    println!("message-path throughput: old three-copy vs zero-copy pipeline");
+    println!("message-path throughput: the shipped seal_frame / batch-seal send path");
     rule(90);
+    let plain = InProcessCluster::new(1, SiteConfig::default()).expect("plain site");
+    let sealed = InProcessCluster::new(1, SiteConfig::default().with_password("bench-pw"))
+        .expect("password-protected site");
     let mut results = Vec::new();
-    bench_paths(&mut results);
-    bench_tcp_fanout(&mut results);
+    bench_paths(&plain, &sealed, &mut results);
+    bench_tcp_fanout(&sealed, &mut results);
     for r in &results {
         println!(
             "{:>24}: {:>10.0} msg/s  {:>8.1} MiB/s  {:>8.0} ns/msg",

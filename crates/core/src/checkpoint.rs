@@ -103,11 +103,9 @@ impl Site {
     /// [`Site::fetch_checkpoint`]).
     pub fn checkpoint_program(&self, program: ProgramId) -> SdvmResult<ProgramSnapshot> {
         let site = self.inner();
-        let info = site
-            .program
+        site.program
             .code_home(program)
             .ok_or(SdvmError::UnknownProgram(program))?;
-        let _ = info;
         let members = site.cluster.known_sites();
 
         // 1. Pause cluster-wide (loopback handles ourselves).
@@ -133,13 +131,12 @@ impl Site {
         let mut frames = Vec::new();
         let mut objects = Vec::new();
         let mut collect_err = None;
-        for round in 0..2 {
+        for _ in 0..2 {
             frames.clear();
             objects.clear();
             if collect_err.is_some() {
                 break;
             }
-            let _ = round;
             for &m in &members {
                 match site.request(
                     m,
@@ -196,51 +193,8 @@ impl Site {
         objects.sort_by_key(|o| o.addr);
         objects.dedup_by_key(|o| o.addr);
 
-        let epoch = self
-            .inner()
-            .program
-            .stored_checkpoint(program)
-            .map(|(e, _)| e + 1)
-            .unwrap_or(1);
-        let (name, threads) = {
-            let reg = &site.registry;
-            (
-                reg.program_name(program)
-                    .or_else(|| site.program.name_of(program))
-                    .unwrap_or_default(),
-                site.registry.thread_count(program) as u32,
-            )
-        };
-        let snapshot = ProgramSnapshot {
-            program,
-            epoch,
-            name,
-            threads,
-            frames,
-            objects,
-        };
-
-        // 4. Store on the checkpoint sites (the code distribution sites,
-        // ourselves included) — "the sites where checkpoints are stored".
-        let bytes = snapshot.to_bytes();
-        let mut stores = site.cluster.code_distribution_sites();
-        if !stores.contains(&site.my_id()) {
-            stores.push(site.my_id());
-        }
-        for &m in &stores {
-            let _ = site.request(
-                m,
-                ManagerId::Program,
-                ManagerId::Program,
-                Payload::CheckpointStore {
-                    program,
-                    epoch,
-                    snapshot: Bytes::copy_from_slice(&bytes),
-                },
-                site.config.request_timeout,
-            );
-        }
-        Ok(snapshot)
+        // 4. Store on the checkpoint sites.
+        Ok(self.store_snapshot(program, frames, objects))
     }
 
     /// Take an **incremental, pause-free** checkpoint of `program`.
@@ -315,30 +269,37 @@ impl Site {
         objects.sort_by(|a, b| a.addr.cmp(&b.addr).then(b.version.cmp(&a.version)));
         objects.dedup_by_key(|o| o.addr);
 
-        let epoch = self
-            .inner()
+        Ok(self.store_snapshot(program, frames, objects))
+    }
+
+    /// Assemble the next-epoch snapshot of `program` from a collected
+    /// cut and store it on the checkpoint sites (the code distribution
+    /// sites, ourselves included) — "the sites where checkpoints are
+    /// stored".
+    fn store_snapshot(
+        &self,
+        program: ProgramId,
+        frames: Vec<WireFrame>,
+        objects: Vec<WireMemObject>,
+    ) -> ProgramSnapshot {
+        let site = self.inner();
+        let epoch = site
             .program
             .stored_checkpoint(program)
             .map(|(e, _)| e + 1)
             .unwrap_or(1);
-        let (name, threads) = {
-            (
-                site.registry
-                    .program_name(program)
-                    .or_else(|| site.program.name_of(program))
-                    .unwrap_or_default(),
-                site.registry.thread_count(program) as u32,
-            )
-        };
         let snapshot = ProgramSnapshot {
             program,
             epoch,
-            name,
-            threads,
+            name: site
+                .registry
+                .program_name(program)
+                .or_else(|| site.program.name_of(program))
+                .unwrap_or_default(),
+            threads: site.registry.thread_count(program) as u32,
             frames,
             objects,
         };
-
         let bytes = snapshot.to_bytes();
         let mut stores = site.cluster.code_distribution_sites();
         if !stores.contains(&site.my_id()) {
@@ -357,7 +318,7 @@ impl Site {
                 site.config.request_timeout,
             );
         }
-        Ok(snapshot)
+        snapshot
     }
 
     /// Fetch the latest stored checkpoint for `program` from the

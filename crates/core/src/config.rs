@@ -27,9 +27,6 @@ pub struct SiteConfig {
     pub code_distribution: bool,
     /// Simulated duration of compiling a microthread's source on the fly.
     pub compile_latency: Duration,
-    /// Simulated per-artifact transfer cost added when receiving binary
-    /// code (zero by default; E10 uses it).
-    pub binary_fetch_latency: Duration,
     /// How logical site ids are allocated (paper discusses three concepts).
     pub id_alloc: IdAllocStrategy,
     /// Mirror frames/objects to a backup site and recover them when a
@@ -40,48 +37,20 @@ pub struct SiteConfig {
     /// Silence after which a site is declared crashed (when crash
     /// tolerance is on).
     pub crash_timeout: Duration,
-    /// Use the two-phase (suspect → confirm) failure detector: silence
-    /// past `suspect_timeout` only *suspects* a site and triggers
-    /// indirect probes; `declare_crashed` needs silence past
-    /// `crash_timeout` or a quorum of gossiped suspicions. Off, silence
-    /// past `crash_timeout` kills directly (the pre-suspicion behavior).
-    pub suspicion: bool,
-    /// Silence after which a site becomes *suspected* (two-phase
-    /// detector only). Must be below `crash_timeout` to buy the suspect
-    /// a probing window before the verdict.
+    /// Silence after which a site becomes *suspected* by the two-phase
+    /// (suspect → confirm) failure detector. Must be below
+    /// `crash_timeout` to buy the suspect a probing window before the
+    /// verdict.
     pub suspect_timeout: Duration,
-    /// How many other members are asked to probe a suspect indirectly.
-    pub probe_fanout: usize,
-    /// Gossiped suspicions (distinct accusers, this site included) that
-    /// escalate a suspect to crashed before `crash_timeout` elapses.
-    pub suspicion_quorum: usize,
     /// How long an idle worker waits for a help reply before trying the
     /// next site.
     pub help_timeout: Duration,
     /// Timeout for blocking remote operations (memory reads, code fetch).
     pub request_timeout: Duration,
-    /// How often a microframe that failed on an *infrastructure* error
-    /// (transport, timeout, missing object) is re-tried before it is
-    /// escalated to the dead-letter store as poison.
-    pub max_frame_retries: u32,
-    /// Backoff before the first retry; doubles per attempt (capped by
-    /// `retry_backoff_cap`). Deterministic — no jitter — so drills can
-    /// assert the exact delay schedule.
-    pub retry_backoff_base: Duration,
-    /// Upper bound on the per-retry backoff.
-    pub retry_backoff_cap: Duration,
     /// Quiet period after which a frontend program with an undelivered
     /// result, no runnable frames and no in-flight requests is declared
     /// stuck (watchdog; the waiter gets `SdvmError::ProgramStuck`).
     pub stuck_timeout: Duration,
-    /// Number of address-hashed shards the attraction memory is split
-    /// into. More shards, less lock contention between workers touching
-    /// unrelated objects; 1 reproduces the old single-mutex store.
-    pub mem_shards: usize,
-    /// Cache non-migrating remote reads as local replicas (copyset
-    /// tracked at the owner, invalidated on write). Off, every remote
-    /// read re-crosses the wire.
-    pub replica_reads: bool,
     /// Lease on a cached replica: a replica older than this is ignored
     /// and re-fetched. Bounds staleness when an invalidation is lost
     /// (e.g. dropped during a network partition).
@@ -110,23 +79,14 @@ impl Default for SiteConfig {
             password: None,
             code_distribution: false,
             compile_latency: Duration::from_millis(20),
-            binary_fetch_latency: Duration::ZERO,
             id_alloc: IdAllocStrategy::CentralServer,
             crash_tolerance: false,
             heartbeat_interval: Duration::from_millis(100),
             crash_timeout: Duration::from_millis(600),
-            suspicion: true,
             suspect_timeout: Duration::from_millis(300),
-            probe_fanout: 3,
-            suspicion_quorum: 2,
             help_timeout: Duration::from_millis(100),
             request_timeout: Duration::from_secs(5),
-            max_frame_retries: 5,
-            retry_backoff_base: Duration::from_millis(10),
-            retry_backoff_cap: Duration::from_millis(500),
             stuck_timeout: Duration::from_secs(30),
-            mem_shards: 8,
-            replica_reads: true,
             replica_ttl: Duration::from_secs(2),
             ops_addr: None,
             postmortem_dir: None,
@@ -147,35 +107,9 @@ impl SiteConfig {
         self
     }
 
-    /// Shorthand: disable the two-phase detector (single-timeout kill).
-    pub fn without_suspicion(mut self) -> Self {
-        self.suspicion = false;
-        self
-    }
-
-    /// Shorthand: set the retry budget and backoff schedule.
-    pub fn with_retry_budget(mut self, retries: u32, base: Duration, cap: Duration) -> Self {
-        self.max_frame_retries = retries;
-        self.retry_backoff_base = base;
-        self.retry_backoff_cap = cap;
-        self
-    }
-
     /// Shorthand: set the stuck-program watchdog timeout.
     pub fn with_stuck_timeout(mut self, t: Duration) -> Self {
         self.stuck_timeout = t;
-        self
-    }
-
-    /// Shorthand: set the attraction-memory shard count.
-    pub fn with_mem_shards(mut self, n: usize) -> Self {
-        self.mem_shards = n.max(1);
-        self
-    }
-
-    /// Shorthand: disable replica caching of remote reads.
-    pub fn without_replica_reads(mut self) -> Self {
-        self.replica_reads = false;
         self
     }
 
@@ -199,15 +133,28 @@ impl SiteConfig {
         self.postmortem_dir = Some(dir.into());
         self
     }
+}
 
-    /// Backoff before retry attempt `n` (1-based): `base · 2^(n-1)`,
-    /// capped. Deterministic so tests can assert the schedule.
-    pub fn retry_backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.retry_backoff_base
-            .saturating_mul(factor)
-            .min(self.retry_backoff_cap)
-    }
+/// How often a microframe that failed on an *infrastructure* error
+/// (transport, timeout, missing object) is re-tried before it is
+/// escalated to the dead-letter store as poison.
+pub const MAX_FRAME_RETRIES: u32 = 5;
+
+/// Backoff before the first retry; doubles per attempt up to
+/// [`RETRY_BACKOFF_CAP`].
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// Upper bound on the per-retry backoff.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// Backoff before retry attempt `n` (1-based): `base · 2^(n-1)`,
+/// capped. Deterministic — no jitter — so drills can assert the exact
+/// delay schedule.
+pub fn retry_backoff(attempt: u32) -> Duration {
+    let factor = 1u32 << attempt.saturating_sub(1).min(16);
+    RETRY_BACKOFF_BASE
+        .saturating_mul(factor)
+        .min(RETRY_BACKOFF_CAP)
 }
 
 /// True when `SDVM_DEBUG` was set in the environment at first use —
@@ -237,17 +184,12 @@ mod tests {
 
     #[test]
     fn retry_backoff_schedule_is_deterministic_and_capped() {
-        let c = SiteConfig::default().with_retry_budget(
-            4,
-            Duration::from_millis(10),
-            Duration::from_millis(35),
-        );
-        assert_eq!(c.retry_backoff(1), Duration::from_millis(10));
-        assert_eq!(c.retry_backoff(2), Duration::from_millis(20));
-        assert_eq!(c.retry_backoff(3), Duration::from_millis(35), "capped");
-        assert_eq!(c.retry_backoff(4), Duration::from_millis(35));
+        let schedule: Vec<u64> = (1..=8)
+            .map(|n| retry_backoff(n).as_millis() as u64)
+            .collect();
+        assert_eq!(schedule, [10, 20, 40, 80, 160, 320, 500, 500], "capped");
         // Huge attempt numbers don't overflow.
-        assert_eq!(c.retry_backoff(1000), Duration::from_millis(35));
+        assert_eq!(retry_backoff(1000), RETRY_BACKOFF_CAP);
     }
 
     #[test]
@@ -257,8 +199,6 @@ mod tests {
             .with_password("pw");
         assert!(c.crash_tolerance);
         assert_eq!(c.password.as_deref(), Some("pw"));
-        assert!(c.suspicion, "two-phase detector on by default");
-        assert!(!c.clone().without_suspicion().suspicion);
         assert!(
             c.suspect_timeout < c.crash_timeout,
             "suspicion must precede the verdict"

@@ -53,6 +53,13 @@ struct DeadEntry {
 /// Minimum delay between fencing notices to the same zombie.
 const DEATH_NOTICE_INTERVAL: Duration = Duration::from_millis(200);
 
+/// How many other members are asked to probe a suspect indirectly.
+const PROBE_FANOUT: usize = 3;
+
+/// Gossiped suspicions (distinct accusers, this site included) that
+/// escalate a suspect to crashed before `crash_timeout` elapses.
+const SUSPICION_QUORUM: usize = 2;
+
 /// One live member as seen by this site's cluster manager (ops plane).
 #[derive(Clone, Debug)]
 pub struct MemberView {
@@ -137,10 +144,7 @@ pub struct ClusterManager {
     strategy: IdAllocStrategy,
     crash_tolerance: bool,
     crash_timeout: Duration,
-    suspicion: bool,
     suspect_timeout: Duration,
-    probe_fanout: usize,
-    suspicion_quorum: usize,
 }
 
 impl ClusterManager {
@@ -169,10 +173,7 @@ impl ClusterManager {
             strategy: config.id_alloc,
             crash_tolerance: config.crash_tolerance,
             crash_timeout: config.crash_timeout,
-            suspicion: config.suspicion,
             suspect_timeout: config.suspect_timeout,
-            probe_fanout: config.probe_fanout,
-            suspicion_quorum: config.suspicion_quorum.max(2),
         }
     }
 
@@ -975,8 +976,7 @@ impl ClusterManager {
     /// The two-phase detector (SWIM-style). Silence past
     /// `suspect_timeout` only *suspects* a site and fans out indirect
     /// probes; the verdict needs silence past `crash_timeout` or a quorum
-    /// of independent accusers. With `suspicion` off this degrades to the
-    /// original single-timeout kill.
+    /// of independent accusers.
     fn detect_crashes(&self, site: &SiteInner) {
         let me = site.my_id();
         let now = Instant::now();
@@ -990,12 +990,6 @@ impl ClusterManager {
                     continue;
                 };
                 let silent_for = now.duration_since(heard);
-                if !self.suspicion {
-                    if silent_for > self.crash_timeout {
-                        to_declare.push(s);
-                    }
-                    continue;
-                }
                 if let Some(susp) = st.suspects.get_mut(&s) {
                     // Join the accusation only on our *own* observation
                     // of silence — a gossiped suspicion alone must not
@@ -1003,9 +997,7 @@ impl ClusterManager {
                     if silent_for > self.suspect_timeout {
                         susp.accusers.insert(me);
                     }
-                    if silent_for > self.crash_timeout
-                        || susp.accusers.len() >= self.suspicion_quorum
-                    {
+                    if silent_for > self.crash_timeout || susp.accusers.len() >= SUSPICION_QUORUM {
                         to_declare.push(s);
                     }
                 } else if silent_for > self.suspect_timeout {
@@ -1025,7 +1017,7 @@ impl ClusterManager {
         }
     }
 
-    /// Announce a fresh suspicion: gossip it, ask up to `probe_fanout`
+    /// Announce a fresh suspicion: gossip it, ask up to `PROBE_FANOUT`
     /// members to probe the suspect indirectly, and ping it directly.
     /// Any resulting message from the suspect clears the suspicion on
     /// its way through [`ClusterManager::observe_inbound`].
@@ -1054,7 +1046,7 @@ impl ClusterManager {
         // (id-order) fanout until the coordinate converges.
         self.rank_by_proximity(&mut peers);
         let my_coord = Some(self.my_coord());
-        for &p in peers.iter().take(self.probe_fanout) {
+        for &p in peers.iter().take(PROBE_FANOUT) {
             let _ = site.send_payload(
                 p,
                 ManagerId::Cluster,
@@ -1143,7 +1135,7 @@ impl ClusterManager {
                 accusers: HashSet::new(),
             });
             entry.accusers.insert(accuser);
-            entry.accusers.len() >= self.suspicion_quorum
+            entry.accusers.len() >= SUSPICION_QUORUM
         };
         if convicted {
             self.declare_crashed(site, suspect, true);

@@ -40,7 +40,6 @@ pub struct CodeManager {
     sources: Mutex<HashSet<ProgramId>>,
     my_platform: PlatformId,
     compile_latency: Duration,
-    binary_fetch_latency: Duration,
     /// Counters for the code-distribution experiments.
     compiles: std::sync::atomic::AtomicU64,
     remote_fetches: std::sync::atomic::AtomicU64,
@@ -54,7 +53,6 @@ impl CodeManager {
             sources: Mutex::new(HashSet::new()),
             my_platform: config.platform,
             compile_latency: config.compile_latency,
-            binary_fetch_latency: config.binary_fetch_latency,
             compiles: std::sync::atomic::AtomicU64::new(0),
             remote_fetches: std::sync::atomic::AtomicU64::new(0),
         }
@@ -138,9 +136,6 @@ impl CodeManager {
                 Payload::CodeBinary { .. } => {
                     self.remote_fetches
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if !self.binary_fetch_latency.is_zero() {
-                        std::thread::sleep(self.binary_fetch_latency);
-                    }
                     self.available.lock().insert((thread, self.my_platform));
                     return site
                         .registry

@@ -50,6 +50,10 @@ const HINT_CAP: usize = 1024;
 /// Upper bound on owner hops a read/write chase follows before giving up.
 const CHASE_HOPS: u32 = 8;
 
+/// Number of address-hashed shards the attraction memory is split into:
+/// workers touching unrelated objects rarely share a lock.
+pub const MEM_SHARDS: usize = 8;
+
 /// A plain global memory object.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemObject {
@@ -169,17 +173,10 @@ impl Default for MemoryManager {
 }
 
 impl MemoryManager {
-    /// Fresh, empty memory with the default shard count.
+    /// Fresh, empty memory split into [`MEM_SHARDS`] address-hashed shards.
     pub fn new() -> Self {
-        Self::with_shards(crate::config::SiteConfig::default().mem_shards)
-    }
-
-    /// Fresh, empty memory split into `n` address-hashed shards (1
-    /// reproduces the old single-mutex store).
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
         MemoryManager {
-            shards: (0..n)
+            shards: (0..MEM_SHARDS)
                 .map(|_| ShardSlot {
                     state: Mutex::new(Shard::default()),
                     contention: AtomicU64::new(0),
@@ -731,13 +728,12 @@ impl MemoryManager {
     /// this site entered into the owner's copyset). Blocks on remote
     /// objects.
     pub fn read(&self, site: &SiteInner, addr: GlobalAddress, migrate: bool) -> SdvmResult<Value> {
-        let replica_mode = !migrate && site.config.replica_reads;
         {
             let st = self.shard(addr);
             if let Some(obj) = st.objects.get(&addr) {
                 return Ok(obj.data.clone());
             }
-            if replica_mode {
+            if !migrate {
                 if let Some(r) = st.replicas.get(&addr) {
                     if r.fetched.elapsed() <= site.config.replica_ttl {
                         site.metrics.mem_replica_hits.inc();
@@ -746,7 +742,7 @@ impl MemoryManager {
                 }
             }
         }
-        if replica_mode {
+        if !migrate {
             site.metrics.mem_replica_misses.inc();
         }
         let me = site.my_id();
@@ -781,7 +777,7 @@ impl MemoryManager {
                 Payload::MemRead {
                     addr,
                     migrate,
-                    replica: replica_mode,
+                    replica: !migrate,
                 },
                 site.config.request_timeout,
             )?;

@@ -16,7 +16,7 @@
 //! store instead of looping forever.
 
 use crate::api::ExecCtx;
-use crate::config::debug_enabled;
+use crate::config::{debug_enabled, retry_backoff, MAX_FRAME_RETRIES};
 use crate::site::SiteInner;
 use crate::trace::TraceEvent;
 use sdvm_types::{ProgramId, SdvmError};
@@ -155,8 +155,8 @@ pub fn worker_loop(site: &Arc<SiteInner>) {
                 // already landed are dropped idempotently
                 // (at-least-once semantics, as after crash recovery).
                 frame.retries += 1;
-                if frame.retries <= site.config.max_frame_retries {
-                    let delay = site.config.retry_backoff(frame.retries);
+                if frame.retries <= MAX_FRAME_RETRIES {
+                    let delay = retry_backoff(frame.retries);
                     site.metrics.retry_delay_us.observe_duration(delay);
                     site.emit(TraceEvent::FrameRetried {
                         site: site.my_id(),

@@ -647,7 +647,7 @@ impl Site {
         let security = SecurityManager::new(&config);
         let inner = Arc::new(SiteInner {
             scheduling: SchedulingManager::new(&config),
-            memory: MemoryManager::with_shards(config.mem_shards),
+            memory: MemoryManager::new(),
             code: CodeManager::new(&config),
             io: IoManager::new(),
             cluster: ClusterManager::new(&config),

@@ -7,6 +7,7 @@
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
+use sdvm_core::config::MAX_FRAME_RETRIES;
 use sdvm_core::{
     perfetto_trace_json, prometheus_text, AppBuilder, AppFault, AppFaultKind, ExecCtx,
     InProcessCluster, SiteConfig, TraceEvent, TraceLog,
@@ -163,19 +164,15 @@ fn accounting_survives_errors_and_panics() {
     assert_eq!(handle.wait(WAIT).unwrap().as_u64().unwrap(), 42);
 }
 
-/// Infrastructure failures are retried exactly `max_frame_retries` times
+/// Infrastructure failures are retried exactly `MAX_FRAME_RETRIES` times
 /// with capped-exponential gaps (asserted through the retry-delay
-/// histogram: 5 + 10 + 20 ms), then the frame is dead-lettered and the
-/// waiter gets an error — it does not hang.
+/// histogram: 10 + 20 + 40 + 80 + 160 ms), then the frame is
+/// dead-lettered and the waiter gets an error — it does not hang.
 #[test]
 fn retry_budget_exhaustion_dead_letters_the_frame() {
     let trace = TraceLog::new();
-    let cfg = SiteConfig::default().with_retry_budget(
-        3,
-        Duration::from_millis(5),
-        Duration::from_millis(50),
-    );
-    let cluster = InProcessCluster::with_configs(vec![cfg; 1], Some(trace.clone())).unwrap();
+    let cluster =
+        InProcessCluster::with_configs(vec![SiteConfig::default()], Some(trace.clone())).unwrap();
     let mut app = AppBuilder::new("doomed");
     app.thread("doomed", |ctx| {
         // The home site of this address does not exist: every attempt
@@ -197,7 +194,7 @@ fn retry_budget_exhaustion_dead_letters_the_frame() {
         "got {err:?}"
     );
 
-    // Exactly max_frame_retries attempts, 1-based and in order.
+    // Exactly MAX_FRAME_RETRIES attempts, 1-based and in order.
     let attempts: Vec<u32> = trace
         .events()
         .iter()
@@ -206,18 +203,19 @@ fn retry_budget_exhaustion_dead_letters_the_frame() {
             _ => None,
         })
         .collect();
-    assert_eq!(attempts, vec![1, 2, 3]);
+    assert_eq!(attempts, (1..=MAX_FRAME_RETRIES).collect::<Vec<_>>());
     assert_eq!(
         trace
             .filter(|e| matches!(e, TraceEvent::FrameQuarantined { .. }))
             .len(),
         1
     );
-    // Growing gaps, deterministically: 5, 10, 20 ms of scheduled backoff.
+    // Growing gaps, deterministically: 10, 20, 40, 80, 160 ms of
+    // scheduled backoff.
     let snap = cluster.site(0).inner().metrics.snapshot();
-    assert_eq!(snap.retry_delay_us.count, 3);
-    assert_eq!(snap.retry_delay_us.sum_us, 35_000);
-    assert_eq!(snap.frames_retried, 3);
+    assert_eq!(snap.retry_delay_us.count, 5);
+    assert_eq!(snap.retry_delay_us.sum_us, 310_000);
+    assert_eq!(snap.frames_retried, 5);
 }
 
 /// Under the skip-frame policy the waiter must not hang either: skipping
@@ -226,12 +224,7 @@ fn retry_budget_exhaustion_dead_letters_the_frame() {
 #[test]
 fn skip_frame_policy_reports_and_watchdog_unblocks_the_waiter() {
     let trace = TraceLog::new();
-    let mut cfg = SiteConfig::default().with_retry_budget(
-        1,
-        Duration::from_millis(2),
-        Duration::from_millis(10),
-    );
-    cfg.stuck_timeout = Duration::from_millis(800);
+    let cfg = SiteConfig::default().with_stuck_timeout(Duration::from_millis(800));
     let cluster = InProcessCluster::with_configs(vec![cfg; 1], Some(trace.clone())).unwrap();
     let fault = AppFault::new(cluster.site(0).id(), 1, AppFaultKind::Fail);
     let app = doubler_app(&fault).on_failure(FailurePolicy::SkipFrame);

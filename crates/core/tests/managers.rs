@@ -5,6 +5,7 @@
 #![allow(clippy::field_reassign_with_default)] // config structs are built by mutation by design
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
+use sdvm_core::managers::memory::MEM_SHARDS;
 use sdvm_core::{InProcessCluster, SiteConfig};
 use sdvm_types::{ManagerId, SiteId, Value};
 use sdvm_wire::Payload;
@@ -378,22 +379,6 @@ fn replica_ttl_bounds_staleness() {
 }
 
 #[test]
-fn replica_reads_can_be_disabled() {
-    let cluster = InProcessCluster::new(2, SiteConfig::default().without_replica_reads()).unwrap();
-    let s0 = cluster.site(0).inner();
-    let s1 = cluster.site(1).inner();
-    let addr = s0
-        .memory
-        .alloc(s0, sdvm_types::ProgramId(1), Value::from_u64(7));
-    assert_eq!(
-        s1.memory.read(s1, addr, false).unwrap().as_u64().unwrap(),
-        7
-    );
-    assert_eq!(s1.memory.replica_version(addr), None, "no replica cached");
-    assert_eq!(s1.memory.stats().replicas, 0);
-}
-
-#[test]
 fn migration_leaves_forwarding_hint() {
     let cluster = InProcessCluster::new(3, SiteConfig::default()).unwrap();
     let s0 = cluster.site(0).inner();
@@ -434,10 +419,10 @@ fn migration_leaves_forwarding_hint() {
 
 #[test]
 fn shard_contention_is_reported_per_shard() {
-    let cluster = InProcessCluster::new(1, SiteConfig::default().with_mem_shards(4)).unwrap();
+    let cluster = InProcessCluster::new(1, SiteConfig::default()).unwrap();
     let s = cluster.site(0).inner();
-    assert_eq!(s.memory.shard_count(), 4);
-    assert_eq!(s.memory.stats().shard_contention.len(), 4);
+    assert_eq!(s.memory.shard_count(), MEM_SHARDS);
+    assert_eq!(s.memory.stats().shard_contention.len(), MEM_SHARDS);
 }
 
 #[test]

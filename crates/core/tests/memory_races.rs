@@ -15,8 +15,7 @@ use std::time::Duration;
 
 #[test]
 fn migrating_object_survives_concurrent_readers_and_writers() {
-    let config = SiteConfig::default().with_mem_shards(4);
-    let cluster = Arc::new(InProcessCluster::new(3, config).unwrap());
+    let cluster = Arc::new(InProcessCluster::new(3, SiteConfig::default()).unwrap());
     let s0 = cluster.site(0).inner();
     let addr = s0
         .memory
